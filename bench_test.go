@@ -114,6 +114,28 @@ func BenchmarkDLApproachForwardNGCF(b *testing.B) {
 	benchStrategyForward(b, kernels.DLApproach{}, kernels.NGCFModes())
 }
 
+// BenchmarkKernelLaunch is the simulator's fixed per-launch cost on the
+// paper's 82-SM device: StartKernel, a few SM reads, Finish. The launch
+// record is pooled and resets cost what the launch touched, so after the
+// warm-up launch it holds at 0 allocs/op (ratcheted in CI).
+func BenchmarkKernelLaunch(b *testing.B) {
+	dev := gpusim.NewDevice(gpusim.DefaultConfig())
+	buf := dev.MustAlloc(1<<16, "launch-data")
+	launch := func() {
+		k := dev.StartKernel("launch")
+		for sm := 0; sm < 4; sm++ {
+			k.SM(sm).Read(buf.Addr(int64(sm)*4096), 512)
+		}
+		k.Finish()
+	}
+	launch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		launch()
+	}
+}
+
 func BenchmarkMatMul(b *testing.B) {
 	rng := tensor.NewRNG(2)
 	x := tensor.Random(512, 128, 1, rng)

@@ -78,14 +78,14 @@ type Device struct {
 	buffers map[int64]*Buffer
 	arena   *DeviceArena
 
-	// smMu guards smFree, the pool of recycled SMContexts. Kernel launches
-	// are frequent (one per GNN stage per batch) and each needs NumSMs
-	// contexts with their cache maps and LRU nodes; recycling them across
-	// launches removes the dominant allocation cost of the simulator while
-	// preserving the cold-cache-per-kernel semantics (contexts are reset on
-	// return).
-	smMu   sync.Mutex
-	smFree []*SMContext
+	// launchMu guards launchFree, the free list of launch records (see
+	// StartKernel). Kernel launches are frequent (one per GNN stage per
+	// batch) and each needs NumSMs contexts with their caches; a record
+	// keeps its contexts across launches, so a steady-state launch
+	// allocates nothing, and the records in the list are exactly those no
+	// live Kernel handle owns.
+	launchMu   sync.Mutex
+	launchFree *launch
 
 	// dead flips once when Kill is called (fault injection): every
 	// subsequent Alloc fails with *DeviceLostError. Kernels allocate

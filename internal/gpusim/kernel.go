@@ -1,17 +1,31 @@
 package gpusim
 
-import "sync"
-
-// Kernel is one simulated GPU kernel launch. Obtain per-SM contexts with
-// SM(i), record accesses from (at most) one goroutine per context, then call
-// Finish to flush per-SM tallies into the device counters and retrieve the
-// kernel's own stats.
+// Kernel is a handle to one simulated GPU kernel launch. Obtain per-SM
+// contexts with SM(i), record accesses from (at most) one goroutine per
+// context, then call Finish to flush per-SM tallies into the device
+// counters and retrieve the kernel's own stats.
+//
+// The handle is a value: the launch's per-SM contexts live in a pooled
+// launch record, and the handle names the record generation it owns, so
+// a launch allocates nothing and a handle outliving its launch can never
+// reach the record's next owner.
 type Kernel struct {
-	dev  *Device
+	rec  *launch
+	gen  uint64
 	name string
-	sms  []*SMContext
-	once sync.Once
+	done bool
 	st   KernelStats
+}
+
+// launch is a pooled launch record: one context per SM plus the
+// generation of its current owner. Finish bumps gen before the record
+// re-enters the device free list, which retires every handle to the
+// finished launch.
+type launch struct {
+	dev  *Device
+	gen  uint64
+	sms  []*SMContext
+	next *launch // free-list link
 }
 
 // KernelStats summarizes one kernel launch.
@@ -25,59 +39,81 @@ type KernelStats struct {
 }
 
 // StartKernel begins a kernel launch. Each SM starts with a cold cache,
-// which matches the paper's per-kernel Nsight measurements. Contexts are
-// drawn from the device's recycle pool; Finish returns them, so SM(i)
-// results must not be retained past Finish.
-func (d *Device) StartKernel(name string) *Kernel {
+// which matches the paper's per-kernel Nsight measurements. The launch
+// record comes from the device free list (a fresh one only when every
+// record is in flight) and its contexts are reset here, at checkout, at a
+// cost proportional to the lines the previous launch left resident.
+// SMContexts obtained via SM must not be used after Finish.
+func (d *Device) StartKernel(name string) Kernel {
 	d.launches.Add(1)
-	k := &Kernel{dev: d, name: name, sms: make([]*SMContext, d.cfg.NumSMs)}
-	d.smMu.Lock()
-	n := copy(k.sms, d.smFree[max(0, len(d.smFree)-len(k.sms)):])
-	d.smFree = d.smFree[:len(d.smFree)-n]
-	d.smMu.Unlock()
-	// Pooled contexts land at the front (reset at checkout so counters of a
-	// finished kernel stay readable); fill the rest with fresh ones.
-	for i := 0; i < n; i++ {
-		k.sms[i].reset()
+	d.launchMu.Lock()
+	l := d.launchFree
+	if l != nil {
+		d.launchFree = l.next
 	}
-	for i := n; i < len(k.sms); i++ {
-		k.sms[i] = newSMContext(d.cfg)
+	d.launchMu.Unlock()
+	if l == nil {
+		l = &launch{dev: d, sms: make([]*SMContext, d.cfg.NumSMs)}
+		for i := range l.sms {
+			l.sms[i] = newSMContext(d.cfg)
+		}
+	} else {
+		l.next = nil
+		for _, sm := range l.sms {
+			sm.reset()
+		}
 	}
-	return k
+	return Kernel{rec: l, gen: l.gen, name: name}
 }
 
 // NumSMs returns the number of per-kernel SM contexts.
-func (k *Kernel) NumSMs() int { return len(k.sms) }
+func (k *Kernel) NumSMs() int { return len(k.rec.sms) }
 
-// SM returns the context of streaming multiprocessor i.
-func (k *Kernel) SM(i int) *SMContext { return k.sms[i] }
+// SM returns the context of streaming multiprocessor i. It panics once
+// the launch is finished: the record may already serve another launch.
+func (k *Kernel) SM(i int) *SMContext {
+	if k.rec.gen != k.gen {
+		panic("gpusim: SM on a finished kernel")
+	}
+	return k.rec.sms[i]
+}
 
-// Finish aggregates all SM contexts into the device counters and returns
-// the contexts to the device recycle pool; it is idempotent and returns
-// the kernel's stats. SMContexts obtained via SM must not be used after
-// Finish (SM panics once the contexts are recycled).
+// Finish aggregates all SM contexts into the device counters, returns the
+// launch record to the device free list and returns the kernel's stats.
+// It is idempotent on a handle: a second call returns the same stats and
+// touches nothing. A Finish through a copy of a handle whose launch was
+// already finished is stale: it returns zero stats and never reaches the
+// record, which may belong to a later launch by then.
 func (k *Kernel) Finish() KernelStats {
-	k.once.Do(func() {
-		st := KernelStats{Name: k.name}
-		for _, sm := range k.sms {
-			st.FLOPs += sm.flops
-			st.GlobalLoads += sm.loads
-			st.GlobalStores += sm.stores
-			st.CacheHits += sm.hits
-		}
-		st.CacheBytes = st.GlobalLoads * k.dev.cfg.CacheLineBytes
-		k.dev.flops.Add(st.FLOPs)
-		k.dev.globalLoads.Add(st.GlobalLoads)
-		k.dev.globalStores.Add(st.GlobalStores)
-		k.dev.cacheHits.Add(st.CacheHits)
-		k.dev.cacheBytes.Add(st.CacheBytes)
-		k.st = st
-		k.dev.smMu.Lock()
-		k.dev.smFree = append(k.dev.smFree, k.sms...)
-		k.dev.smMu.Unlock()
-		k.sms = nil
-	})
-	return k.st
+	if k.done {
+		return k.st
+	}
+	k.done = true
+	l := k.rec
+	if l.gen != k.gen {
+		return KernelStats{}
+	}
+	dev := l.dev
+	st := KernelStats{Name: k.name}
+	for _, sm := range l.sms {
+		st.FLOPs += sm.flops
+		st.GlobalLoads += sm.loads
+		st.GlobalStores += sm.stores
+		st.CacheHits += sm.hits
+	}
+	st.CacheBytes = st.GlobalLoads * dev.cfg.CacheLineBytes
+	dev.flops.Add(st.FLOPs)
+	dev.globalLoads.Add(st.GlobalLoads)
+	dev.globalStores.Add(st.GlobalStores)
+	dev.cacheHits.Add(st.CacheHits)
+	dev.cacheBytes.Add(st.CacheBytes)
+	k.st = st
+	l.gen++
+	dev.launchMu.Lock()
+	l.next = dev.launchFree
+	dev.launchFree = l
+	dev.launchMu.Unlock()
+	return st
 }
 
 // SMContext records the memory traffic of one streaming multiprocessor
@@ -108,7 +144,7 @@ func newSMContext(cfg Config) *SMContext {
 
 // reset clears the context for recycling into the next kernel launch: the
 // counters drop to zero and the cache is emptied (cold per kernel), with
-// its nodes and map buckets retained for reuse.
+// its slots and bucket table retained for reuse.
 func (sm *SMContext) reset() {
 	sm.flops, sm.loads, sm.stores, sm.hits = 0, 0, 0, 0
 	sm.cache.reset()
@@ -153,8 +189,9 @@ func (sm *SMContext) AddFLOPs(n int64) { sm.flops += n }
 // load funnels through here), so the implementation is index-based and
 // pointer-free: slots live in one flat slice linked by int32 indices, and
 // lookup goes through an open hash table of bucket heads chained through
-// the slots. Nothing here allocates after construction, reset is a bucket
-// memclr, and the garbage collector never traverses the structure.
+// the slots. Nothing here allocates after construction, reset costs time
+// in proportion to the resident lines (see reset), and the garbage
+// collector never traverses the structure.
 type lruCache struct {
 	capacity int
 	slots    []lruSlot // slot arena, len == capacity
@@ -226,14 +263,30 @@ func (c *lruCache) touch(line int64) bool {
 	return false
 }
 
-// reset empties the cache in O(buckets) with no allocation or pointer
-// traffic, ready for the next (cold-cache) kernel launch.
+// reset empties the cache with no allocation or pointer traffic, ready for
+// the next (cold-cache) kernel launch. Its cost follows occupancy, not
+// table size: slots [0,used) hold exactly the resident lines, so while
+// few are resident only their bucket heads are cleared — an SM a launch
+// never touched costs O(1) — and a well-filled cache falls back to
+// clearing the whole bucket table.
 func (c *lruCache) reset() {
-	for i := range c.buckets {
-		c.buckets[i] = -1
+	if int(c.used) <= c.sparseThreshold() {
+		for i := range c.slots[:c.used] {
+			c.buckets[c.bucket(c.slots[i].key)] = -1
+		}
+	} else {
+		for i := range c.buckets {
+			c.buckets[i] = -1
+		}
 	}
 	c.used, c.head, c.tail = 0, -1, -1
 }
+
+// sparseThreshold is the occupancy up to which reset clears only the
+// buckets the resident lines hash to (one hash and one scattered store per
+// line); fuller caches clear the whole table in one sequential pass,
+// which costs about the same as a quarter-table of scattered stores.
+func (c *lruCache) sparseThreshold() int { return len(c.buckets) / 4 }
 
 func (c *lruCache) pushFront(idx int32) {
 	s := &c.slots[idx]

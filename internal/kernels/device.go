@@ -85,7 +85,7 @@ func (dm *DeviceMatrix) Free() {
 // Instances are pooled so steady-state launches allocate only the kernel
 // body's own closure.
 type smRun struct {
-	k      *gpusim.Kernel
+	k      gpusim.Kernel
 	n      int
 	numSMs int
 	chunk  int
@@ -95,7 +95,7 @@ type smRun struct {
 
 var smRunPool = sync.Pool{New: func() any { return new(smRun) }}
 
-func getSMRun(k *gpusim.Kernel, n int) *smRun {
+func getSMRun(k gpusim.Kernel, n int) *smRun {
 	r := smRunPool.Get().(*smRun)
 	r.k, r.n, r.numSMs = k, n, k.NumSMs()
 	return r
@@ -138,7 +138,7 @@ func smChunkTask(ctx any, lo, hi int) {
 // parallelism dispatches SM indices onto the shared worker pool; each SM
 // context is claimed by exactly one participant, so access recording is
 // race-free and the per-SM access streams are deterministic.
-func runSMs(k *gpusim.Kernel, n int, fn func(sm *gpusim.SMContext, unit int)) {
+func runSMs(k gpusim.Kernel, n int, fn func(sm *gpusim.SMContext, unit int)) {
 	numSMs := k.NumSMs()
 	workers := sched.Workers(numSMs)
 	if n == 0 {
@@ -159,13 +159,13 @@ func runSMs(k *gpusim.Kernel, n int, fn func(sm *gpusim.SMContext, unit int)) {
 // runSMsChunked partitions n work units into NumSMs contiguous chunks, one
 // per SM (the scheduling NAPA uses: all features of one dst stay on one
 // SM, and consecutive dsts map to the same SM run).
-func runSMsChunked(k *gpusim.Kernel, n int, fn func(sm *gpusim.SMContext, lo, hi int)) {
+func runSMsChunked(k gpusim.Kernel, n int, fn func(sm *gpusim.SMContext, lo, hi int)) {
 	runSMsChunkedIdx(k, n, func(sm *gpusim.SMContext, _, lo, hi int) { fn(sm, lo, hi) })
 }
 
 // runSMsChunkedIdx is runSMsChunked but also hands fn the SM index, which
 // kernels use to pick their per-SM scratch rows from the Ctx workspace.
-func runSMsChunkedIdx(k *gpusim.Kernel, n int, fn func(sm *gpusim.SMContext, smID, lo, hi int)) {
+func runSMsChunkedIdx(k gpusim.Kernel, n int, fn func(sm *gpusim.SMContext, smID, lo, hi int)) {
 	numSMs := k.NumSMs()
 	workers := sched.Workers(numSMs)
 	if n == 0 {

@@ -132,7 +132,7 @@ func goldenCounters(t *testing.T, inputs []goldenInput) []string {
 	return lines
 }
 
-// step records the device counter delta fn produces as one golden line.
+// stepper records, per step, the device counter delta as one golden line.
 type stepper struct {
 	t     *testing.T
 	dev   *gpusim.Device

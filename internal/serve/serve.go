@@ -48,6 +48,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,6 +119,12 @@ var ErrClosed = errors.New("serve: server closed")
 // error — never silently dropped — and is counted in the per-shard Expired
 // stat.
 var ErrDeadlineExceeded = errors.New("serve: query deadline exceeded")
+
+// ErrInvalidQuery is returned (wrapped with the offending dst) for a query
+// naming a vertex outside the graph. Such a query is refused at submit,
+// counted in the per-shard Rejected stat, and never reaches a queue, so one
+// bad VID cannot take down the replica that would have sampled it.
+var ErrInvalidQuery = errors.New("serve: query dst outside the graph's vertex range")
 
 // ErrReplicasLost is returned for queries caught in the queues after fault
 // injection has killed every replica's device: with no surviving device the
@@ -233,6 +240,8 @@ type shard struct {
 	dsts    atomic.Int64
 	stolen  atomic.Int64
 	expired atomic.Int64
+	// rejected counts queries refused at submit with ErrInvalidQuery.
+	rejected atomic.Int64
 	// backlog is the admission→serve-start age (nanos) of the shard's most
 	// recently started batch — the degraded-mode queue-age signal Stats
 	// surfaces as BacklogAge. One atomic store per batch, never per query.
@@ -507,6 +516,9 @@ func (s *Server) submit(ctx context.Context, deadline time.Time, dsts []graph.VI
 	if len(out) < len(dsts)*s.outDim {
 		return nil, errors.New("serve: logit buffer smaller than len(dsts) x OutDim")
 	}
+	if err := s.checkDsts(dsts); err != nil {
+		return nil, err
+	}
 	// Fast-path short-circuit: a query whose bound has already lapsed is
 	// refused before a ticket is even checked out — no shard queue, no
 	// coalescing goroutine, no channel hop. It is still counted, on the
@@ -533,6 +545,19 @@ func (s *Server) submit(ctx context.Context, deadline time.Time, dsts []graph.VI
 	return tk, nil
 }
 
+// checkDsts range-checks a query's dsts against the graph. An invalid query
+// is counted on the shard it would have routed to.
+func (s *Server) checkDsts(dsts []graph.VID) error {
+	n := s.tr.Dataset.NumVertices()
+	for _, d := range dsts {
+		if d < 0 || int(d) >= n {
+			s.shardFor(dsts).rejected.Add(1)
+			return fmt.Errorf("%w: dst %d not in [0, %d)", ErrInvalidQuery, d, n)
+		}
+	}
+	return nil
+}
+
 // submitScratch is SubmitMany's pooled per-shard chain state.
 type submitScratch struct {
 	heads, tails []*Ticket
@@ -543,15 +568,24 @@ type submitScratch struct {
 // hop, so a bulk caller pays O(shards) hops instead of O(queries). tks must
 // have len(queries) slots; it receives one ticket per query (same order).
 // Routing, coalescing and results are identical to len(queries) Submit
-// calls — SubmitMany is pure submission-side perf.
+// calls — SubmitMany is pure submission-side perf. The call is all or
+// nothing: if any query is malformed (short buffer, or a dst outside the
+// graph — each such query counted as Rejected) nothing is enqueued.
 func (s *Server) SubmitMany(queries [][]graph.VID, outs [][]float32, tks []*Ticket) error {
 	if len(outs) != len(queries) || len(tks) != len(queries) {
 		return errors.New("serve: SubmitMany needs one out buffer and one ticket slot per query")
 	}
+	var invalid error
 	for q := range queries {
 		if len(outs[q]) < len(queries[q])*s.outDim {
 			return errors.New("serve: logit buffer smaller than len(dsts) x OutDim")
 		}
+		if err := s.checkDsts(queries[q]); err != nil && invalid == nil {
+			invalid = err
+		}
+	}
+	if invalid != nil {
+		return invalid
 	}
 	sc, _ := s.scratch.Get().(*submitScratch)
 	if sc == nil || len(sc.heads) < len(s.shards) {
@@ -929,6 +963,9 @@ type ShardStats struct {
 	// ErrDeadlineExceeded (at submit, in the admission queue, or at
 	// completion).
 	Expired int
+	// Rejected counts queries this shard refused at submit with
+	// ErrInvalidQuery.
+	Rejected int
 	// BacklogAge is the admission→serve-start age of the shard's most
 	// recently started batch — the degraded-mode queue-age signal (it
 	// spikes while the replica set is shrunken and decays after rejoin).
@@ -960,6 +997,8 @@ type Stats struct {
 	Expired      int
 	FailedOver   int
 	DeadReplicas int
+	// Rejected counts queries refused at submit with ErrInvalidQuery.
+	Rejected int
 	// Rejoined counts replicas respawned by the fault plan's rejoin events
 	// (device revived, fresh weight snapshot reinstalled, queues
 	// reattached); TimeDegraded is the cumulative wall time the server
@@ -994,7 +1033,8 @@ func (s *Server) Stats() Stats {
 		}
 		q, b, d := sh.queries.Load(), sh.served.Load(), sh.dsts.Load()
 		ss := ShardStats{Queries: int(q), Batches: int(b), Stolen: int(sh.stolen.Load()),
-			Expired: int(sh.expired.Load()), BacklogAge: time.Duration(sh.backlog.Load())}
+			Expired: int(sh.expired.Load()), Rejected: int(sh.rejected.Load()),
+			BacklogAge: time.Duration(sh.backlog.Load())}
 		if b > 0 {
 			ss.MeanBatch = float64(d) / float64(b)
 		}
@@ -1002,6 +1042,7 @@ func (s *Server) Stats() Stats {
 		st.Queries += int(q)
 		st.Batches += int(b)
 		st.Expired += ss.Expired
+		st.Rejected += ss.Rejected
 		dsts += d
 		lat = sh.lat.AppendTo(lat)
 	}

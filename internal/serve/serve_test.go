@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -621,5 +622,64 @@ func TestBlockedSubmitRacingClose(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("no query was admitted before Close — race not exercised")
+	}
+}
+
+// TestInvalidQueryRejected submits dsts outside the graph — one past the
+// end by 5 and -1, alone and inside a bulk SubmitMany — and requires each
+// to fail with ErrInvalidQuery at submit, to be counted as Rejected, to
+// enqueue nothing, and to leave the server serving valid queries.
+func TestInvalidQueryRejected(t *testing.T) {
+	ds := testDS(t)
+	tr := testTrainer(t, frameworks.BaseGT, ds)
+	cfg := DefaultConfig()
+	cfg.Replicas, cfg.Shards = 2, 2
+	s, err := NewServer(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	n := graph.VID(ds.NumVertices())
+	out := make([]float32, 4*s.OutDim())
+	bad := [][]graph.VID{{0, n + 5}, {-1}}
+	for _, q := range bad {
+		if tk, err := s.Submit(q, out); !errors.Is(err, ErrInvalidQuery) || tk != nil {
+			t.Fatalf("Submit(%v) = (%v, %v), want ErrInvalidQuery and no ticket", q, tk, err)
+		}
+	}
+	valid := [][]graph.VID{{1, 2}, {3}}
+	bulk := append(append([][]graph.VID{}, valid...), bad...)
+	outs := make([][]float32, len(bulk))
+	for i, q := range bulk {
+		outs[i] = make([]float32, len(q)*s.OutDim())
+	}
+	tks := make([]*Ticket, len(bulk))
+	if err := s.SubmitMany(bulk, outs, tks); !errors.Is(err, ErrInvalidQuery) {
+		t.Fatalf("SubmitMany with invalid dsts = %v, want ErrInvalidQuery", err)
+	}
+	for i, tk := range tks {
+		if tk != nil {
+			t.Fatalf("SubmitMany handed out ticket %d despite rejecting the call", i)
+		}
+	}
+
+	for _, q := range valid {
+		if err := s.Query(q, out); err != nil {
+			t.Fatalf("valid query %v after rejections: %v", q, err)
+		}
+	}
+	st := s.Stats()
+	if st.Rejected != 4 {
+		t.Fatalf("Stats.Rejected = %d, want 4", st.Rejected)
+	}
+	perShard := 0
+	for _, ss := range st.PerShard {
+		perShard += ss.Rejected
+	}
+	if perShard != st.Rejected {
+		t.Fatalf("per-shard rejected sum %d != total %d", perShard, st.Rejected)
+	}
+	if st.Queries != len(valid) {
+		t.Fatalf("Stats.Queries = %d, want %d: a rejected query reached a queue", st.Queries, len(valid))
 	}
 }
