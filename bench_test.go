@@ -10,7 +10,6 @@ package graphtensor
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -133,36 +132,6 @@ func BenchmarkKernelLaunch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		launch()
-	}
-}
-
-func BenchmarkMatMul(b *testing.B) {
-	rng := tensor.NewRNG(2)
-	x := tensor.Random(512, 128, 1, rng)
-	w := tensor.Random(128, 64, 1, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMul(x, w)
-	}
-}
-
-// BenchmarkMatMulParallel measures the pooled parallel GEMM path: the same
-// shape as BenchmarkMatMul dispatched onto the persistent worker pool at 8
-// workers (forced, so the scaling is visible even on small CI boxes). The
-// destination-passing form keeps the loop allocation-free.
-func BenchmarkMatMulParallel(b *testing.B) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-	rng := tensor.NewRNG(2)
-	x := tensor.Random(512, 128, 1, rng)
-	w := tensor.Random(128, 64, 1, rng)
-	dst := tensor.Get(512, 64)
-	defer tensor.Put(dst)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMulInto(dst, x, w)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"graphtensor/internal/kernels"
 	"graphtensor/internal/prep"
 	"graphtensor/internal/sampling"
+	"graphtensor/internal/tensor"
 )
 
 func main() {
@@ -50,7 +51,7 @@ func main() {
 	// Express one NGCF layer with the NAPA primitives directly (Fig 10):
 	//   edge = NeighborApply(CSR, embed, g)
 	//   aggr = Pull(CSR, embed, edge, h, f)
-	//   out  = Apply(aggr, W, b)
+	//   out  = Apply(aggr, W, b, σ)
 	modes := kernels.NGCFModes()
 	edge, err := engine.NeighborApply(ld.CSR, x, modes)
 	if err != nil {
@@ -62,6 +63,16 @@ func main() {
 	}
 	fmt.Printf("aggregated %d destination embeddings of width %d\n",
 		aggr.M.Rows, aggr.M.Cols)
+
+	// Combine: a 64-wide hidden layer, σ(aggr·W + b).
+	const hidden = 64
+	w := tensor.GlorotUniform(aggr.M.Cols, hidden, tensor.NewRNG(1))
+	out, err := engine.Apply(aggr, w, make([]float32, hidden), true)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("combined them into %d hidden embeddings of width %d\n",
+		out.M.Rows, out.M.Cols)
 
 	counters := engine.Dev.Snapshot()
 	fmt.Printf("NAPA kernel work: %d FLOPs, %d global loads, %.1f KiB into caches\n",

@@ -33,9 +33,6 @@ func NewEngine(cfg gpusim.Config) *Engine {
 	return &Engine{Dev: dev, Ctx: kernels.NewCtx(dev)}
 }
 
-// ResetPhases clears the accumulated kernel-phase breakdown (Fig 16 data).
-func (e *Engine) ResetPhases() { e.Ctx.Phases = metrics.NewBreakdown() }
-
 // Phases returns the kernel-time breakdown accumulated so far.
 func (e *Engine) Phases() *metrics.Breakdown { return e.Ctx.Phases }
 
@@ -61,22 +58,27 @@ func (e *Engine) Pull(csr *graph.BCSR, embed, edge *kernels.DeviceMatrix, m kern
 }
 
 // Apply is the NAPA combination primitive: the dense MLP transformation
-// y = σ(x·W + b), leveraging conventional dense kernels. Set relu to false
-// for the final (logit) layer.
+// y = σ(x·W + b), leveraging conventional dense kernels. b may be nil (no
+// bias); set relu to false for the final (logit) layer.
 func (e *Engine) Apply(x *kernels.DeviceMatrix, w *tensor.Matrix, b []float32, relu bool) (*kernels.DeviceMatrix, error) {
 	out, err := kernels.Linear(e.Ctx, x, w, "apply-out")
+	if err != nil || (b == nil && !relu) {
+		return out, err
+	}
+	bias := b
+	if bias == nil {
+		bias = tensor.GetSlice(w.Cols)
+		defer tensor.PutSlice(bias)
+	}
+	pre, err := kernels.BiasReLU(e.Ctx, out, bias)
 	if err != nil {
+		out.Free()
 		return nil, err
 	}
-	if b != nil {
-		pre, err := kernels.BiasReLU(e.Ctx, out, b)
-		if err != nil {
-			return nil, err
-		}
-		if !relu {
-			// Undo the clamping: keep the pre-activation values.
-			copy(out.M.Data, pre.Data)
-		}
+	if !relu {
+		// Undo the clamping: keep the pre-activation values.
+		copy(out.M.Data, pre.Data)
 	}
+	tensor.Put(pre)
 	return out, nil
 }

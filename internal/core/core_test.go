@@ -232,3 +232,53 @@ func TestDFGRewriteInModel(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyMatchesLinearPlusActivation: the NAPA Apply primitive computes
+// σ(x·W + b) — Linear, then the bias (when given), then ReLU (when asked) —
+// for every combination of a nil or real bias and relu on or off.
+func TestApplyMatchesLinearPlusActivation(t *testing.T) {
+	rng := tensor.NewRNG(61)
+	x := tensor.Random(21, 9, 1, rng)
+	w := tensor.Random(9, 6, 1, rng)
+	bias := tensor.Random(1, 6, 1, rng).Data
+	for _, b := range [][]float32{nil, bias} {
+		for _, relu := range []bool{false, true} {
+			dev := testDevice()
+			ref, err := kernels.WrapDeviceMatrix(dev, x.Clone(), "x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			lin, err := kernels.Linear(kernels.NewCtx(dev), ref, w, "ref")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := lin.M.Clone()
+			for i := 0; i < want.Rows; i++ {
+				row := want.Row(i)
+				for j := range row {
+					if b != nil {
+						row[j] += b[j]
+					}
+					if relu && row[j] < 0 {
+						row[j] = 0
+					}
+				}
+			}
+
+			e := NewEngine(gpusim.DefaultConfig())
+			xd, err := e.Upload(x.Clone(), "x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Apply(xd, w, b, relu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range got.M.Data {
+				if v != want.Data[i] {
+					t.Fatalf("bias=%v relu=%v: out[%d] = %v, want %v", b != nil, relu, i, v, want.Data[i])
+				}
+			}
+		}
+	}
+}

@@ -58,10 +58,10 @@ type Model struct {
 	Strategy kernels.Strategy
 	Layers   []*Layer
 	policy   *dkp.Policy
-	force    *dkp.Placement
-	// layerForce pins one placement per layer (serving snapshots fix their
-	// placements at construction so a query's logits cannot depend on how
-	// the query was batched). Nil means decide per batch shape.
+	// layerForce pins one placement per layer (Config.ForcePlacement, and
+	// serving snapshots, which fix their placements at construction so a
+	// query's logits cannot depend on how the query was batched). Nil
+	// means decide per batch shape.
 	layerForce []dkp.Placement
 	dkpOn      bool
 }
@@ -80,7 +80,7 @@ func NewModel(cfg Config) (*Model, error) {
 	if pol == nil {
 		pol = dkp.NewPolicy(nil)
 	}
-	m := &Model{Strategy: cfg.Strategy, policy: pol, force: cfg.ForcePlacement, dkpOn: cfg.EnableDKP}
+	m := &Model{Strategy: cfg.Strategy, policy: pol, dkpOn: cfg.EnableDKP}
 	for i, spec := range cfg.Specs {
 		if err := spec.Modes.Validate(); err != nil {
 			return nil, fmt.Errorf("core: layer %d: %w", i, err)
@@ -100,6 +100,12 @@ func NewModel(cfg Config) (*Model, error) {
 			l.DFG.RewriteDKP()
 		}
 		m.Layers = append(m.Layers, l)
+	}
+	if cfg.ForcePlacement != nil {
+		m.layerForce = make([]dkp.Placement, len(m.Layers))
+		for i := range m.layerForce {
+			m.layerForce[i] = *cfg.ForcePlacement
+		}
 	}
 	return m, nil
 }
@@ -134,11 +140,6 @@ func (m *Model) rearrangeable(l *Layer) bool {
 	return isNAPA
 }
 
-// SetForcePlacement overrides (or, with nil, releases) the placement
-// decision for subsequent batches, for the manual pinned-placement
-// baselines and the placement-equivalence tests.
-func (m *Model) SetForcePlacement(p *dkp.Placement) { m.force = p }
-
 // SetLayerPlacements pins one placement per layer. Serving snapshots use
 // this to fix placements at construction time — a pure function of the
 // trainer's profile and layer specs — so the logits a query receives are
@@ -167,21 +168,12 @@ func (m *Model) LayerPlacements() []dkp.Placement {
 	return out
 }
 
-// Policy returns the placement policy the model decides from.
-func (m *Model) Policy() *dkp.Policy { return m.policy }
-
 // Placement returns the execution order layer index li will use for the
 // given layer graph dimensions. The decision is a pure function of the
 // policy's fitted profile and the layer shape — never of measured wall
 // time — so every replica evaluating the same shard shape agrees.
 func (m *Model) Placement(li int, g *kernels.Graphs) dkp.Placement {
 	l := m.Layers[li]
-	if m.force != nil {
-		if *m.force == dkp.CombFirst && !m.rearrangeable(l) {
-			return dkp.AggrFirst
-		}
-		return *m.force
-	}
 	if m.layerForce != nil {
 		if p := m.layerForce[li]; p != dkp.CombFirst || m.rearrangeable(l) {
 			return p

@@ -31,7 +31,8 @@ func init() {
 func prepareKernelBatch(cfg Config, ds *datasets.Dataset, dev *gpusim.Device,
 	format prep.Format) (*prep.Batch, *kernels.DeviceMatrix, error) {
 	scfg := samplerFor(ds)
-	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, dev, ds.BatchDsts(300, 1), scfg, format, true)
+	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, dev, ds.BatchDsts(300, 1), scfg,
+		prep.Config{Format: format, Pinned: true})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,7 +224,8 @@ func runFig12b(cfg Config) (*Result, error) {
 	}
 	dev := gpusim.NewDevice(cfg.device())
 	scfg := samplerFor(ds)
-	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, dev, ds.BatchDsts(300, 1), scfg, prep.FormatCSRCSC, false)
+	b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, dev, ds.BatchDsts(300, 1), scfg,
+		prep.Config{Format: prep.FormatCSRCSC})
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"graphtensor/internal/datasets"
-	"graphtensor/internal/graph"
 	"graphtensor/internal/sampling"
 )
 
@@ -95,11 +94,4 @@ func runTable3(Config) (*Result, error) {
 	sb.WriteString("The measured counterparts: fig6a (memory bloat), fig16 (translation),\n")
 	sb.WriteString("fig6b (cache bloat), fig12a/fig19 (preprocessing overhead).\n")
 	return &Result{Text: sb.String()}, nil
-}
-
-// degreeRatio is shared by fig8; kept here for reuse in tests.
-func degreeRatio(full *graph.CSR, sampledDeg []int) (origMean, sampMean float64) {
-	fullStats := graph.ComputeDegreeStats(full.Degrees())
-	sampStats := graph.ComputeDegreeStats(sampledDeg)
-	return fullStats.Mean, sampStats.Mean
 }

@@ -211,9 +211,6 @@ func (t *Trainer) SetCache(c *cache.Cache) {
 	}
 }
 
-// Cache returns the installed embedding cache (nil without one).
-func (t *Trainer) Cache() *cache.Cache { return t.cache }
-
 // New assembles a trainer for the framework kind over the dataset.
 func New(kind Kind, ds *datasets.Dataset, opt Options) (*Trainer, error) {
 	t := &Trainer{Kind: kind, Opt: opt, Dataset: ds}

@@ -115,9 +115,6 @@ func NewDevice(cfg Config) *Device {
 	return &Device{cfg: cfg, buffers: map[int64]*Buffer{}}
 }
 
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
-
 // Buffer is a device memory allocation. Addresses are virtual: the
 // simulator only needs them to be stable and non-overlapping so the cache
 // model can distinguish data structures.
@@ -282,9 +279,6 @@ func (b *Buffer) Addr(offset int64) int64 {
 // Size returns the buffer length in bytes.
 func (b *Buffer) Size() int64 { return b.size }
 
-// Label returns the allocation label.
-func (b *Buffer) Label() string { return b.label }
-
 // MemInUse returns the bytes currently allocated.
 func (d *Device) MemInUse() int64 {
 	d.mu.Lock()
@@ -365,16 +359,6 @@ func (c Counters) Add(o Counters) Counters {
 		CacheBytes:   c.CacheBytes + o.CacheBytes,
 		Launches:     c.Launches + o.Launches,
 	}
-}
-
-// ResetCounters zeroes the device-wide counters.
-func (d *Device) ResetCounters() {
-	d.flops.Store(0)
-	d.globalLoads.Store(0)
-	d.globalStores.Store(0)
-	d.cacheHits.Store(0)
-	d.cacheBytes.Store(0)
-	d.launches.Store(0)
 }
 
 // Kill marks the device dead: every subsequent Alloc fails with

@@ -1,7 +1,5 @@
 package kernels
 
-import "graphtensor/internal/graph"
-
 // FusedMM reproduces the FusedMM idea (§VII [23]): a single kernel that
 // fuses the SDDMM (edge weighting) and SpMM (aggregation) so per-edge
 // weights are consumed the instant they are produced, never written to
@@ -45,62 +43,4 @@ func (Unfused) Forward(ctx *Ctx, g *Graphs, x *DeviceMatrix, m Modes) (*DeviceMa
 // identical; only the forward differs in whether weights are materialized).
 func (Unfused) Backward(ctx *Ctx, g *Graphs, x, dOut *DeviceMatrix, m Modes) (*DeviceMatrix, error) {
 	return NAPA{}.Backward(ctx, g, x, dOut, m)
-}
-
-// FusedCPU runs the SDDMM+SpMM fusion on a single core with no SM
-// simulation — the CPU execution model FusedMM actually targets. It serves
-// as the CPU baseline point; it returns the same result as NAPA.Forward but
-// performs no parallel SM scheduling and records no cache traffic (a CPU
-// has a very different memory hierarchy). Returns the result and the FLOPs.
-func FusedCPU(csr *graph.BCSR, x *MatrixView, m Modes) (out *MatrixView, flops int64) {
-	dim := x.Cols
-	out = newMatrixView(csr.NumDst, dim)
-	w := make([]float32, maxIntK(m.WeightCols(dim), 1))
-	msg := make([]float32, dim)
-	invDeg := make([]float32, csr.NumDst)
-	for d := 0; d < csr.NumDst; d++ {
-		if deg := csr.Degree(graph.VID(d)); deg > 0 {
-			invDeg[d] = 1 / float32(deg)
-		}
-	}
-	for d := 0; d < csr.NumDst; d++ {
-		orow := out.Row(d)
-		scale := float32(1)
-		if m.F == AggrMean {
-			scale = invDeg[d]
-		}
-		dstRow := x.Row(d)
-		for _, s := range csr.Neighbors(graph.VID(d)) {
-			srcRow := x.Row(int(s))
-			var wv []float32
-			if m.HasEdgeWeight() {
-				flops += m.edgeWeight(srcRow, dstRow, w)
-				wv = w[:m.WeightCols(dim)]
-			}
-			flops += m.message(srcRow, wv, msg)
-			for j := range orow {
-				orow[j] += msg[j] * scale
-			}
-			flops += int64(2 * dim)
-		}
-	}
-	return out, flops
-}
-
-// MatrixView is a thin host matrix for the CPU fused path (no device).
-type MatrixView struct {
-	Rows, Cols int
-	Data       []float32
-}
-
-func newMatrixView(rows, cols int) *MatrixView {
-	return &MatrixView{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
-
-// Row returns row i.
-func (m *MatrixView) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// ViewFromMatrix wraps an existing host matrix's storage as a MatrixView.
-func ViewFromMatrix(rows, cols int, data []float32) *MatrixView {
-	return &MatrixView{Rows: rows, Cols: cols, Data: data}
 }

@@ -90,7 +90,7 @@ func goldenInputs(t *testing.T) []goldenInput {
 		}
 		dev := gpusim.NewDevice(gpusim.DefaultConfig())
 		b, err := pipeline.Serial(ds.Graph, ds.Features, ds.Labels, dev, ds.BatchDsts(100, 1),
-			sampling.DefaultConfig(), prep.FormatCSR, true)
+			sampling.DefaultConfig(), prep.Config{Format: prep.FormatCSR, Pinned: true})
 		if err != nil {
 			t.Fatal(err)
 		}

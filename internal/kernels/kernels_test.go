@@ -224,11 +224,37 @@ func TestGraphApproachBloatsCache(t *testing.T) {
 	}
 }
 
+// refMatMul is the naive triple loop a×b: the host oracle for the device
+// dense kernels.
+func refMatMul(a, b *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			av := a.At(i, k)
+			for j := 0; j < b.Cols; j++ {
+				out.Data[i*out.Cols+j] += av * b.At(k, j)
+			}
+		}
+	}
+	return out
+}
+
+// refTranspose returns mᵀ.
+func refTranspose(m *tensor.Matrix) *tensor.Matrix {
+	out := tensor.New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
 func TestLinearMatchesMatMul(t *testing.T) {
 	rng := tensor.NewRNG(23)
 	x := tensor.Random(37, 13, 1, rng)
 	w := tensor.Random(13, 8, 1, rng)
-	want := tensor.MatMul(x, w)
+	want := refMatMul(x, w)
 	dev := testDevice()
 	ctx := NewCtx(dev)
 	xd, _ := WrapDeviceMatrix(dev, x.Clone(), "x")
@@ -246,8 +272,8 @@ func TestLinearBackward(t *testing.T) {
 	x := tensor.Random(19, 11, 1, rng)
 	w := tensor.Random(11, 6, 1, rng)
 	dy := tensor.Random(19, 6, 1, rng)
-	wantDX := tensor.MatMul(dy, tensor.Transpose(w)) // dY·Wᵀ
-	wantDW := tensor.TMatMul(x, dy)
+	wantDX := refMatMul(dy, refTranspose(w)) // dY·Wᵀ
+	wantDW := refMatMul(refTranspose(x), dy) // Xᵀ·dY
 
 	dev := testDevice()
 	ctx := NewCtx(dev)
@@ -290,6 +316,33 @@ func TestBiasReLURoundTrip(t *testing.T) {
 			if xd.M.At(i, j) != want {
 				t.Fatalf("relu[%d][%d] = %g want %g", i, j, xd.M.At(i, j), want)
 			}
+		}
+	}
+
+	// Backward: dY is masked by pre > 0 in place, and the bias gradient
+	// accumulates the masked rows in ascending row order.
+	dy := tensor.Random(9, 5, 1, rng)
+	dyd, _ := WrapDeviceMatrix(dev, dy.Clone(), "dy")
+	dBias := make([]float32, len(bias))
+	if err := BiasReLUBackward(ctx, dyd, pre, dBias); err != nil {
+		t.Fatal(err)
+	}
+	wantDB := make([]float32, len(bias))
+	for i := 0; i < dy.Rows; i++ {
+		for j := 0; j < dy.Cols; j++ {
+			want := dy.At(i, j)
+			if pre.At(i, j) <= 0 {
+				want = 0
+			}
+			if dyd.M.At(i, j) != want {
+				t.Fatalf("dpre[%d][%d] = %g want %g", i, j, dyd.M.At(i, j), want)
+			}
+			wantDB[j] += want
+		}
+	}
+	for j := range wantDB {
+		if dBias[j] != wantDB[j] {
+			t.Fatalf("dBias[%d] = %g want %g", j, dBias[j], wantDB[j])
 		}
 	}
 }

@@ -194,13 +194,6 @@ type LatencySummary struct {
 	P50, P90, P99, Max time.Duration
 }
 
-// String renders the summary in report form, rounded to the microsecond.
-func (s LatencySummary) String() string {
-	return fmt.Sprintf("p50=%v p90=%v p99=%v max=%v",
-		s.P50.Round(time.Microsecond), s.P90.Round(time.Microsecond),
-		s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
-}
-
 // SummarizeLatencies computes nearest-rank quantiles over a copy of the
 // sample (the input is not reordered). An empty sample yields zeros.
 func SummarizeLatencies(ds []time.Duration) LatencySummary {
@@ -254,9 +247,6 @@ func (r *LatencyRing) Len() int {
 	}
 	return int(n)
 }
-
-// Cap returns the ring capacity.
-func (r *LatencyRing) Cap() int { return len(r.slots) }
 
 // AppendTo appends the retained window to dst and returns it (merging the
 // per-shard rings of a sharded server into one sample costs one append per

@@ -1,3 +1,15 @@
+// Package multigpu is the data-parallel training engine over simulated
+// devices. It grew out of the ROC multi-GPU load-balancing design point
+// (§VII [19]): a sampled batch's destination vertices are partitioned so
+// each part holds a roughly equal share of the *edges* (not vertices),
+// balancing the SpMM workload. Here that partition carves every batch into
+// a fixed number of localized gradient shards (BatchPlan), and a
+// DeviceGroup — a persistent set of devices, each owning its kernels.Ctx,
+// a model replica and a batch-scoped device arena — trains them with
+// forward + backward per device and a modeled gradient all-reduce.
+//
+// ROC uses CSR only for this cross-GPU balancing, not for thread
+// scheduling, so it still pays format translation on each device.
 package multigpu
 
 import (
@@ -47,7 +59,7 @@ type SubBatch struct {
 	// labels), the input to the PCIe scatter model.
 	HostBytes int64
 
-	// Retained structure storage for slot reuse (PartitionBatchReuse):
+	// Retained structure storage for slot reuse (PartitionBatchNodesReuse):
 	// locals[li] is layer li's localized CSR (aliased by Layers[li].CSR when
 	// the parent format ships CSR); srcs[li] is its local→global src map
 	// (srcs[0] doubles as XRows). Every retained buffer is fully rewritten
@@ -63,7 +75,7 @@ type SubBatch struct {
 // on the device count — and is attached to prep.Batch by the prefetch-ring
 // producer so partitioning overlaps the previous batch's compute. A plan
 // recycled through a ring slot (prep.Recycler) is rebuilt in place by
-// PartitionBatchReuse, retaining all of its structure storage.
+// PartitionBatchNodesReuse, retaining all of its structure storage.
 type BatchPlan struct {
 	Shards    int
 	Subs      []SubBatch
@@ -106,7 +118,7 @@ type BatchPlan struct {
 
 // Recycle implements prep.Recycler: a released batch's plan drops nothing —
 // its storage is plan-owned (no references into the batch survive) and is
-// fully rewritten by the slot's next PartitionBatchReuse.
+// fully rewritten by the slot's next PartitionBatchNodesReuse.
 func (p *BatchPlan) Recycle() {}
 
 // planOrder sorts (dst, degree) pairs by (degree desc, id asc) through
@@ -137,34 +149,23 @@ func (o *vidOrder) Len() int           { return len(o.s) }
 func (o *vidOrder) Less(i, j int) bool { return o.s[i] < o.s[j] }
 func (o *vidOrder) Swap(i, j int)      { o.s[i], o.s[j] = o.s[j], o.s[i] }
 
-// PartitionBatch carves a prepared batch into `shards` localized sub-batches
-// by balancing final-layer edges (AssignByEdges) and back-chaining each
-// shard's induced subgraph through every GNN layer.
-func PartitionBatch(b *prep.Batch, shards int) (*BatchPlan, error) {
-	return PartitionBatchNodesReuse(b, shards, 1, nil)
-}
-
-// PartitionBatchReuse is PartitionBatch rebuilding a recycled plan in place
-// (nil allocates a fresh one): the per-shard dst lists, localized layer
-// chains, src maps and label buffers all reuse the retained capacity of the
-// slot's previous batch. The partition — like the fresh one — is a pure
-// function of (batch shape, shards): reuse cannot change a single assigned
-// dst, edge or byte (guarded by TestPartitionBatchReuseBitwise).
-func PartitionBatchReuse(b *prep.Batch, shards int, plan *BatchPlan) (*BatchPlan, error) {
-	return PartitionBatchNodesReuse(b, shards, 1, plan)
-}
-
-// PartitionBatchNodes is PartitionBatch for a hierarchical group: the shard
-// partition is identical to the flat one (it depends on shards alone, so
-// the trajectory is unaffected), and the shards are then assigned to
-// `nodes` nodes by LPT over final-layer edges.
+// PartitionBatchNodes carves a prepared batch into `shards` localized
+// sub-batches by balancing final-layer edges (assignByEdges) and
+// back-chaining each shard's induced subgraph through every GNN layer, then
+// assigns the shards to `nodes` nodes by LPT over final-layer edges (1 =
+// the flat fabric). The shard partition depends on shards alone, so the
+// node count cannot move the trajectory.
 func PartitionBatchNodes(b *prep.Batch, shards, nodes int) (*BatchPlan, error) {
 	return PartitionBatchNodesReuse(b, shards, nodes, nil)
 }
 
-// PartitionBatchNodesReuse is the full partitioning entry point: shard
-// partition plus node assignment, rebuilding a recycled plan fully in place
-// (nil allocates a fresh one).
+// PartitionBatchNodesReuse is PartitionBatchNodes rebuilding a recycled
+// plan in place (nil allocates a fresh one): the per-shard dst lists,
+// localized layer chains, src maps and label buffers all reuse the retained
+// capacity of the slot's previous batch. The partition — like the fresh
+// one — is a pure function of (batch shape, shards, nodes): reuse cannot
+// change a single assigned dst, edge or byte (guarded by
+// TestPartitionBatchReuseBitwise and TestPartitionBatchNodesReuseBitwise).
 func PartitionBatchNodesReuse(b *prep.Batch, shards, nodes int, plan *BatchPlan) (*BatchPlan, error) {
 	L := len(b.Layers)
 	if L == 0 {
@@ -360,9 +361,12 @@ func (p *BatchPlan) assignNodesMask(b *prep.Batch, nodes int, alive []bool) {
 	}
 }
 
-// assignByEdges is the one LPT implementation (the exported AssignByEdges
-// wraps it): dsts balanced over final-layer degrees into the plan's
-// retained Subs[].Dsts, ties by lowest id, each group's dst list ascending.
+// assignByEdges is ROC's balanced-SpMM heuristic, longest-processing-time-
+// first greedy bin packing: dsts sorted by final-layer degree, each
+// assigned to the currently lightest of the plan's n shards (ties by
+// lowest id, so the partition is a pure function of the graph shape), into
+// the retained Subs[].Dsts, each shard's dst list ascending. Imbalance is
+// maxEdges/meanEdges (1.0 = perfect).
 func (p *BatchPlan) assignByEdges(csr *graph.BCSR, n int) {
 	nd := csr.NumDst
 	p.order.d = graph.GrowVIDs(p.order.d, nd)
@@ -615,10 +619,10 @@ func (st GroupStats) String() string {
 // DeviceGroup is the data-parallel training engine: a persistent set of
 // simulated devices, each owning its kernel context, its batch-scoped
 // device arena and a model replica. Every batch is carved into a fixed
-// number of gradient shards (see PartitionBatch); devices process their
-// shards' forward+backward locally, weight gradients are all-reduced over
-// the PCIe model by folding per-shard partials in ascending shard order,
-// and every replica applies the same deterministic SGD step.
+// number of gradient shards (see PartitionBatchNodes); devices process
+// their shards' forward+backward locally, weight gradients are all-reduced
+// over the PCIe model by folding per-shard partials in ascending shard
+// order, and every replica applies the same deterministic SGD step.
 //
 // Because the shard partition and the fold order are fixed by the batch
 // shape alone, the loss/weight trajectory is bitwise identical at any

@@ -8,10 +8,12 @@ import (
 	"graphtensor/internal/datasets"
 	"graphtensor/internal/dkp"
 	"graphtensor/internal/gpusim"
+	"graphtensor/internal/graph"
 	"graphtensor/internal/kernels"
 	"graphtensor/internal/models"
 	"graphtensor/internal/prep"
 	"graphtensor/internal/sampling"
+	"graphtensor/internal/tensor"
 )
 
 // groupHarness bundles a dataset, a deterministic batch source and a model
@@ -310,7 +312,7 @@ func TestPartitionBatchCoversBatch(t *testing.T) {
 	h := newGroupHarness(t, "gcn", prep.FormatCSRCSC)
 	b := h.batch(t, 0, 80)
 	defer b.Release()
-	plan, err := PartitionBatch(b, DefaultShards)
+	plan, err := PartitionBatchNodesReuse(b, DefaultShards, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,14 +374,6 @@ func TestGroupCommAccounting(t *testing.T) {
 		return g.LastStats()
 	}
 	one, four := run(1), run(4)
-	if one.PeakDeviceFLOPs <= four.PeakDeviceFLOPs {
-		t.Errorf("peak device FLOPs should fall with devices: 1-dev %d vs 4-dev %d",
-			one.PeakDeviceFLOPs, four.PeakDeviceFLOPs)
-	}
-	if one.MaxDeviceCompute <= four.MaxDeviceCompute {
-		t.Errorf("busiest-device compute should fall with devices: 1-dev %v vs 4-dev %v",
-			one.MaxDeviceCompute, four.MaxDeviceCompute)
-	}
 	// Total link traffic grows with devices: the all-reduce plus the halo
 	// rows replicated into several devices' sub-batches.
 	if four.CommBytes <= one.CommBytes {
@@ -393,11 +387,187 @@ func TestGroupCommAccounting(t *testing.T) {
 	}
 }
 
+// TestMoreGPUsLowerPerDeviceWork: spreading the fixed shard set over more
+// devices lowers the busiest device's FLOPs and modeled compute time at
+// every step of the 1/2/4/8 sweep.
+func TestMoreGPUsLowerPerDeviceWork(t *testing.T) {
+	h := newGroupHarness(t, "gcn", prep.FormatCSRCSC)
+	var prev GroupStats
+	for i, nDev := range []int{1, 2, 4, 8} {
+		g, err := NewGroup(nDev, DefaultShards, gpusim.DefaultConfig(), true, h.factory())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := h.batch(t, 0, 60)
+		if _, err := g.TrainBatch(b, 0.05); err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+		st := g.LastStats()
+		if i > 0 && st.PeakDeviceFLOPs >= prev.PeakDeviceFLOPs {
+			t.Errorf("%d devices: peak device FLOPs %d, not below %d at %d", nDev, st.PeakDeviceFLOPs, prev.PeakDeviceFLOPs, nDev/2)
+		}
+		if i > 0 && st.MaxDeviceCompute >= prev.MaxDeviceCompute {
+			t.Errorf("%d devices: busiest-device compute %v, not below %v at %d", nDev, st.MaxDeviceCompute, prev.MaxDeviceCompute, nDev/2)
+		}
+		prev = st
+	}
+}
+
 // TestGroupRejectsMoreDevicesThanShards: idle devices would be silent
 // waste; the constructor refuses them.
 func TestGroupRejectsMoreDevicesThanShards(t *testing.T) {
 	h := newGroupHarness(t, "gcn", prep.FormatCSRCSC)
 	if _, err := NewGroup(9, 8, gpusim.DefaultConfig(), true, h.factory()); err == nil {
 		t.Fatal("expected error for 9 devices over 8 shards")
+	}
+}
+
+// randomBCSR builds a bipartite CSR whose dsts carry 1..maxDeg seeded
+// random in-edges each, a skewed shape for the partitioner without a
+// dataset behind it.
+func randomBCSR(seed int64, nDst, nSrc, maxDeg int) *graph.BCSR {
+	r := uint64(seed)*2862933555777941757 + 7
+	next := func(mod int) int {
+		r = r*6364136223846793005 + 1442695040888963407
+		return int((r >> 33) % uint64(mod))
+	}
+	coo := &graph.BCOO{NumDst: nDst, NumSrc: nSrc}
+	for d := 0; d < nDst; d++ {
+		deg := 1 + next(maxDeg)
+		for i := 0; i < deg; i++ {
+			coo.Src = append(coo.Src, graph.VID(next(nSrc)))
+			coo.Dst = append(coo.Dst, graph.VID(d))
+		}
+	}
+	csr, _ := graph.BCOOToBCSR(coo)
+	return csr
+}
+
+// TestEveryDstAssignedOnce: the LPT partitioner hands every dst to exactly
+// one shard with each shard's list ascending, for shard counts below and
+// above the dst count (surplus shards stay empty).
+func TestEveryDstAssignedOnce(t *testing.T) {
+	csr := randomBCSR(2, 60, 90, 6)
+	for _, n := range []int{1, 3, 8, 70} {
+		p := &BatchPlan{Subs: make([]SubBatch, n)}
+		p.assignByEdges(csr, n)
+		seen := make([]int, csr.NumDst)
+		for s, sub := range p.Subs {
+			for i, d := range sub.Dsts {
+				seen[d]++
+				if i > 0 && sub.Dsts[i-1] >= d {
+					t.Fatalf("n=%d: shard %d dst list not ascending at %d", n, s, i)
+				}
+			}
+		}
+		for d, c := range seen {
+			if c != 1 {
+				t.Errorf("n=%d: dst %d assigned %d times", n, d, c)
+			}
+		}
+	}
+}
+
+// TestBalanceDistributesEdges: the shards' edge loads sum to the graph's
+// edges and obey the greedy LPT bound — the heaviest shard took its last
+// dst while at or below the mean, so its load is at most the mean plus the
+// largest degree — and Imbalance is max/mean of those loads.
+func TestBalanceDistributesEdges(t *testing.T) {
+	for seed, n := range []int{2, 4, 8} {
+		csr := randomBCSR(int64(seed+1), 100, 150, 8)
+		p := &BatchPlan{Subs: make([]SubBatch, n)}
+		p.assignByEdges(csr, n)
+		total, maxLoad, maxDeg := 0, 0, 0
+		for _, sub := range p.Subs {
+			load := 0
+			for _, d := range sub.Dsts {
+				deg := csr.Degree(d)
+				load += deg
+				if deg > maxDeg {
+					maxDeg = deg
+				}
+			}
+			total += load
+			if load > maxLoad {
+				maxLoad = load
+			}
+		}
+		if total != csr.NumEdges() {
+			t.Errorf("n=%d: partitioned edges %d != total %d", n, total, csr.NumEdges())
+		}
+		mean := float64(total) / float64(n)
+		if float64(maxLoad) > mean+float64(maxDeg) {
+			t.Errorf("n=%d: shard load %d exceeds LPT bound %.1f", n, maxLoad, mean+float64(maxDeg))
+		}
+		if want := float64(maxLoad) / mean; p.Imbalance != want {
+			t.Errorf("n=%d: Imbalance %f != recomputed %f", n, p.Imbalance, want)
+		}
+	}
+}
+
+// TestMultiGPUForwardMatchesSingle: the logits each gradient shard computes
+// on its localized sub-batch equal, bit for bit, the rows the whole batch
+// computes unsharded on one device — localization (compact VIDs, halo
+// chains, X row maps) must not change what any dst sees.
+//
+// It covers the unweighted GCN only. Edge-weighted modes (NGCF) read a
+// dst's own embedding at row d of the layer input, which assumes dst d is
+// also src d; localizeInto numbers local srcs in first-touch order, so a
+// shard's NGCF edge weights read another vertex's row and the sharded
+// logits differ from the unsharded ones. The ROADMAP item "Shard
+// localization must keep the dsts as the src prefix" tracks the fix, which
+// changes every group NGCF trajectory and must extend this test to "ngcf".
+func TestMultiGPUForwardMatchesSingle(t *testing.T) {
+	for _, model := range []string{"gcn"} {
+		h := newGroupHarness(t, model, prep.FormatCSRCSC)
+		m, err := h.factory()()
+		if err != nil {
+			t.Fatal(err)
+		}
+		infer := func(layers []prep.LayerData, x *tensor.Matrix) *tensor.Matrix {
+			dev := gpusim.NewDevice(gpusim.DefaultConfig())
+			xd, err := kernels.WrapDeviceMatrix(dev, x, "x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs := make([]*kernels.Graphs, len(layers))
+			for li, l := range layers {
+				gs[li] = &kernels.Graphs{COO: l.COO, CSR: l.CSR, CSC: l.CSC}
+			}
+			out, err := m.Infer(kernels.NewCtx(dev), &core.Input{Graphs: gs, X: xd})
+			if err != nil {
+				t.Fatal(err)
+			}
+			logits := out.M.Clone()
+			out.Free()
+			xd.Free()
+			return logits
+		}
+		b := h.batch(t, 0, 60)
+		want := infer(b.Layers, b.Embed.Data.Clone())
+		plan, err := PartitionBatchNodesReuse(b, DefaultShards, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sub := range plan.Subs {
+			if len(sub.Dsts) == 0 {
+				continue
+			}
+			x := tensor.New(len(sub.XRows), b.Embed.Dim)
+			for i, v := range sub.XRows {
+				copy(x.Row(i), b.Embed.Row(v))
+			}
+			got := infer(sub.Layers, x)
+			for i, d := range sub.Dsts {
+				row, ref := got.Row(i), want.Row(int(d))
+				for j := range row {
+					if row[j] != ref[j] {
+						t.Fatalf("%s shard %d: dst %d logit %d = %v, unsharded %v", model, sub.Shard, d, j, row[j], ref[j])
+					}
+				}
+			}
+		}
+		b.Release()
 	}
 }

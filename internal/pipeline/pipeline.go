@@ -124,12 +124,6 @@ func (s *Scheduler) Prepare(batchDsts []graph.VID, tl *metrics.Timeline) (*prep.
 	return s.PrepareSlot(batchDsts, tl, nil)
 }
 
-// PrepareArena is Prepare with the batch's host embedding table drawn from
-// a batch-scoped arena (nil falls back to plain allocation).
-func (s *Scheduler) PrepareArena(batchDsts []graph.VID, tl *metrics.Timeline, arena *tensor.Arena) (*prep.Batch, error) {
-	return s.prepare(batchDsts, tl, arena, nil)
-}
-
 // PrepareSlot is Prepare drawing the batch's storage from a prefetch-ring
 // slot: the dense host buffers from the slot's arena, and the producer
 // structures (sampler result, per-layer graphs, labels) from its structure
@@ -290,27 +284,12 @@ func (s *Scheduler) prepare(batchDsts []graph.VID, tl *metrics.Timeline,
 }
 
 // Serial runs the fully serialized baseline chain (S → R → K → T) used by
-// the existing frameworks (Fig 12a). workers controls sampling threads: 1
-// reproduces PyG's single-threaded sampler, GOMAXPROCS the multi-threaded
-// variants.
+// the existing frameworks (Fig 12a) with a fresh sampler over full. The
+// sampler config's worker count controls sampling threads: 1 reproduces
+// PyG's single-threaded sampler, GOMAXPROCS the multi-threaded variants.
+// cfg carries the format, pinning, host-only staging and the optional
+// arena and structure pool.
 func Serial(full *graph.CSR, features *graph.EmbeddingTable, labels []int32,
-	dev *gpusim.Device, batchDsts []graph.VID, samplerCfg sampling.Config,
-	format prep.Format, pinned bool) (*prep.Batch, error) {
-	return SerialArena(full, features, labels, dev, batchDsts, samplerCfg, format, pinned, nil)
-}
-
-// SerialArena is Serial with the batch's host buffers drawn from a
-// batch-scoped arena (nil falls back to plain allocation).
-func SerialArena(full *graph.CSR, features *graph.EmbeddingTable, labels []int32,
-	dev *gpusim.Device, batchDsts []graph.VID, samplerCfg sampling.Config,
-	format prep.Format, pinned bool, arena *tensor.Arena) (*prep.Batch, error) {
-	return SerialCfg(full, features, labels, dev, batchDsts, samplerCfg,
-		prep.Config{Format: format, Pinned: pinned, Arena: arena})
-}
-
-// SerialCfg is the serial chain with a full prep.Config (arena, pinning,
-// host-only staging).
-func SerialCfg(full *graph.CSR, features *graph.EmbeddingTable, labels []int32,
 	dev *gpusim.Device, batchDsts []graph.VID, samplerCfg sampling.Config,
 	cfg prep.Config) (*prep.Batch, error) {
 	sampler := sampling.New(full, samplerCfg)

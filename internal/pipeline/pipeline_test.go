@@ -36,7 +36,8 @@ func TestPipelinedEqualsSerial(t *testing.T) {
 	samplerCfg := sampling.DefaultConfig()
 	samplerCfg.Seed = 3
 
-	serialBatch, err := Serial(ds.Graph, ds.Features, ds.Labels, testDevice(), dsts, samplerCfg, prep.FormatCSRCSC, true)
+	serialBatch, err := Serial(ds.Graph, ds.Features, ds.Labels, testDevice(), dsts, samplerCfg,
+		prep.Config{Format: prep.FormatCSRCSC, Pinned: true})
 	if err != nil {
 		t.Fatal(err)
 	}

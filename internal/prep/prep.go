@@ -127,14 +127,6 @@ func ReindexCOO(hop *sampling.Hop, table *vidmap.Table) (*graph.BCOO, error) {
 	return out, nil
 }
 
-// ReindexRange renumbers the edge subrange [lo,hi) of a hop into the
-// preallocated dst arrays — the chunk primitive the pipelined scheduler
-// uses to parallelize R across threads.
-func ReindexRange(hop *sampling.Hop, table *vidmap.Table, dst *graph.BCOO, lo, hi int) {
-	table.LookupBatch(hop.SrcOrig[lo:hi], dst.Src[lo:hi])
-	table.LookupBatch(hop.DstOrig[lo:hi], dst.Dst[lo:hi])
-}
-
 // BuildLayer converts a reindexed COO hop into the requested device format.
 // The translation cost is real work performed here (counting sort), exactly
 // the work the Graph-approach defers to kernel time.
@@ -266,19 +258,15 @@ func Serial(sampler *sampling.Sampler, features *graph.EmbeddingTable,
 	return batch, nil
 }
 
-// Transfer allocates device memory for the batch's graphs and embedding
-// table and copies them over the modeled PCIe link (the T task). The
-// modeled link time is paid to the wall clock through a LinkThrottle so
-// pipeline overlap experiments observe realistic transfer occupancy.
-func Transfer(b *Batch, dev *gpusim.Device, pinned bool) error {
-	return TransferArena(b, dev, pinned, nil)
-}
-
-// TransferArena is Transfer with the device-side host mirror drawn from a
-// batch-scoped arena (nil falls back to a plain allocation). Cache-resident
-// embedding rows (b.CacheHits of them) are already device-held and cross
-// the link for free; the host mirror is still fully populated, so batch
-// contents never depend on residency.
+// TransferArena allocates device memory for the batch's graphs and
+// embedding table and copies them over the modeled PCIe link (the T task),
+// with the device-side host mirror drawn from a batch-scoped arena (nil
+// falls back to a plain allocation). The modeled link time is paid to the
+// wall clock through a LinkThrottle so pipeline overlap experiments
+// observe realistic transfer occupancy. Cache-resident embedding rows
+// (b.CacheHits of them) are already device-held and cross the link for
+// free; the host mirror is still fully populated, so batch contents never
+// depend on residency.
 func TransferArena(b *Batch, dev *gpusim.Device, pinned bool, a *tensor.Arena) error {
 	pcie := dev.PCIe()
 	gBytes := GraphBytes(b.Layers)

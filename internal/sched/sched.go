@@ -1,26 +1,23 @@
 // Package sched is the substrate's persistent worker pool: the steady-state
-// execution engine every parallel region in the repository dispatches onto.
+// execution engine every parallel region in the repository dispatches onto
+// (simulated kernel launches, group devices, large format translations).
 //
-// Before this package existed, each parallel kernel invocation spawned fresh
+// Before this package existed, each parallel region spawned fresh
 // goroutines and allocated a sync.WaitGroup — cheap individually, but a
-// structural tax paid on every GEMM and every simulated kernel launch of
-// every training batch. The pool replaces that with a fixed set of
-// long-lived workers fed through one channel: dispatching a region costs a
-// pooled job checkout, a few atomic operations and one channel receive, and
-// performs no heap allocation on the steady-state path when the caller
-// passes a pooled context object and a top-level function (see Run).
+// structural tax paid on every simulated kernel launch of every training
+// batch. The pool replaces that with a fixed set of long-lived workers fed
+// through one channel: dispatching a region costs a pooled job checkout, a
+// few atomic operations and one channel receive, and performs no heap
+// allocation on the steady-state path when the caller passes a pooled
+// context object and a top-level function (see RunChunk).
 //
 // Determinism contract: every index in [0, n) is processed by exactly one
-// participant, so any kernel whose per-index work is independent of the
-// chunk split (all kernels in this repository accumulate per output element
-// in a fixed order) produces bitwise identical results at any worker count,
-// including the serial path. Note the boundary guarantees differ by entry
-// point: RunChunk's boundaries are fixed by (n, chunk) alone — callers like
-// the parallel counting sort may key per-chunk state off them — while Run
-// derives its chunk width from the worker count, so code that makes
-// per-chunk state observable (partial reductions merged in chunk order,
-// chunk-indexed scratch) must use RunChunk with a shape-derived width, not
-// Run.
+// participant, and chunk boundaries are fixed by (n, chunk) alone — never
+// by the worker count or by which participant claims a chunk — so callers
+// may key per-chunk state off them (the parallel counting sort does), and
+// any kernel whose per-index work is independent of the chunk split
+// produces bitwise identical results at any worker count, including the
+// serial path.
 //
 // Deadlock freedom: the dispatching goroutine always participates in its own
 // region, and handing work to the pool is non-blocking — if every worker is
@@ -60,7 +57,8 @@ type job struct {
 var jobPool = sync.Pool{New: func() any { return &job{wake: make(chan struct{}, 1)} }}
 
 // work is the shared dispatch channel. Its capacity only bounds how many
-// handoffs can be queued ahead of worker pickup; Run never blocks on it.
+// handoffs can be queued ahead of worker pickup; RunChunk never blocks on
+// it.
 var work = make(chan *job, maxWorkers)
 
 var (
@@ -134,25 +132,13 @@ func Workers(n int) int {
 	return w
 }
 
-// Run executes fn over [0, n) split into chunks of width ~n/(4·workers),
+// RunChunk executes fn over [0, n) split into chunks of the given width,
 // claimed dynamically by the caller and up to workers−1 pool workers. It
-// returns when every index has been processed. ctx is passed through to fn
-// verbatim: pass a pooled pointer and a top-level function to keep the
-// dispatch allocation-free. fn must be safe to call concurrently on
-// disjoint ranges.
-func Run(n, workers int, ctx any, fn func(ctx any, lo, hi int)) {
-	chunk := n / (4 * workers)
-	if chunk < 8 {
-		chunk = 8
-	}
-	RunChunk(n, chunk, workers, ctx, fn)
-}
-
-// RunChunk is Run with an explicit chunk width, for regions whose units are
-// heavy enough (e.g. one simulated SM each) that the caller wants maximum
-// balance rather than amortized claim overhead. Chunk boundaries are fixed
+// returns when every index has been processed. Chunk boundaries are fixed
 // by (n, chunk) alone, so which participant claims a chunk never affects
-// which indices land in it.
+// which indices land in it. ctx is passed through to fn verbatim: pass a
+// pooled pointer and a top-level function to keep the dispatch
+// allocation-free. fn must be safe to call concurrently on disjoint ranges.
 func RunChunk(n, chunk, workers int, ctx any, fn func(ctx any, lo, hi int)) {
 	if n <= 0 {
 		return

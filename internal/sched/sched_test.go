@@ -13,16 +13,18 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, n := range []int{1, 7, 8, 64, 257, 4096} {
 		for _, workers := range []int{1, 2, 8, 64} {
-			hits := make([]int32, n)
-			Run(n, workers, &hits, func(ctx any, lo, hi int) {
-				h := *ctx.(*[]int32)
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&h[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("n=%d workers=%d: index %d processed %d times", n, workers, i, h)
+			for _, chunk := range []int{0, 1, 3, 8, 1000} {
+				hits := make([]int32, n)
+				RunChunk(n, chunk, workers, &hits, func(ctx any, lo, hi int) {
+					h := *ctx.(*[]int32)
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&h[i], 1)
+					}
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("n=%d chunk=%d workers=%d: index %d processed %d times", n, chunk, workers, i, h)
+					}
 				}
 			}
 		}
@@ -60,9 +62,9 @@ func TestNestedRunDoesNotDeadlock(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	var total atomic.Int64
-	Run(64, 4, nil, func(_ any, lo, hi int) {
+	RunChunk(64, 4, 4, nil, func(_ any, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			Run(32, 4, nil, func(_ any, l, h int) {
+			RunChunk(32, 8, 4, nil, func(_ any, l, h int) {
 				total.Add(int64(h - l))
 			})
 		}
@@ -72,18 +74,20 @@ func TestNestedRunDoesNotDeadlock(t *testing.T) {
 	}
 }
 
-// TestRunSerialFallback: workers<=1 (or tiny n) must run inline on the
-// calling goroutine.
+// TestRunSerialFallback: workers<=1, or a region that fits in one chunk,
+// must run inline on the calling goroutine as a single [0, n) call.
 func TestRunSerialFallback(t *testing.T) {
-	calls := 0
-	Run(10, 1, nil, func(_ any, lo, hi int) {
-		calls++
-		if lo != 0 || hi != 10 {
-			t.Fatalf("serial fallback got [%d,%d)", lo, hi)
+	for _, c := range []struct{ chunk, workers int }{{3, 1}, {10, 8}, {64, 8}} {
+		calls := 0
+		RunChunk(10, c.chunk, c.workers, nil, func(_ any, lo, hi int) {
+			calls++
+			if lo != 0 || hi != 10 {
+				t.Fatalf("chunk=%d workers=%d: serial fallback got [%d,%d)", c.chunk, c.workers, lo, hi)
+			}
+		})
+		if calls != 1 {
+			t.Fatalf("chunk=%d workers=%d: serial fallback made %d calls", c.chunk, c.workers, calls)
 		}
-	})
-	if calls != 1 {
-		t.Fatalf("serial fallback made %d calls", calls)
 	}
 }
 
@@ -104,14 +108,25 @@ func TestRunZeroAlloc(t *testing.T) {
 			s[i]++
 		}
 	}
+	// A dispatch reaches steady state once the workers have picked up its
+	// handoffs: the last participant to release the job returns it to the
+	// pool for the next dispatch. testing.AllocsPerRun measures at
+	// GOMAXPROCS=1, where a worker runs only when the caller yields, so
+	// each measured dispatch yields until its handoffs are drained —
+	// otherwise every dispatch would find its previous job still
+	// referenced and draw a fresh one. The yield itself allocates nothing.
+	dispatch := func() {
+		RunChunk(len(sink), 32, 8, ctx, fn)
+		for len(work) > 0 {
+			runtime.Gosched()
+		}
+	}
 	// Warm the pool (job structs, workers).
 	for i := 0; i < 4; i++ {
-		Run(len(sink), 8, ctx, fn)
+		dispatch()
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		Run(len(sink), 8, ctx, fn)
-	})
+	allocs := testing.AllocsPerRun(50, dispatch)
 	if allocs != 0 {
-		t.Errorf("Run allocates %.1f times per dispatch, want 0", allocs)
+		t.Errorf("RunChunk allocates %.1f times per dispatch, want 0", allocs)
 	}
 }

@@ -437,12 +437,6 @@ func NewServer(tr *frameworks.Trainer, cfg Config) (*Server, error) {
 // OutDim returns the logit row width a query scatters back per dst.
 func (s *Server) OutDim() int { return s.outDim }
 
-// Replicas returns the replica count.
-func (s *Server) Replicas() int { return len(s.replicas) }
-
-// Shards returns the admission shard count.
-func (s *Server) Shards() int { return len(s.shards) }
-
 // shardFor routes a query to its admission shard: an FNV-1a hash of the
 // dst list, so the route is sticky — a pure function of the query's
 // contents, never of load, timing or shard occupancy.

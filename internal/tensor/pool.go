@@ -13,9 +13,9 @@
 //   - Get / Put (and GetSlice / PutSlice): explicit checkout/return of a
 //     single matrix or float32 slice. A Get without a matching Put is
 //     always safe — the storage is simply garbage collected.
-//   - Arena: a batch-scoped handle that records every checkout and returns
-//     all of them in one Release() call at batch end, so kernel code can
-//     allocate freely without tracking individual lifetimes.
+//   - Arena: a batch-scoped handle that records every matrix checkout and
+//     returns all of them in one Release() call at batch end, so kernel
+//     code can allocate freely without tracking individual lifetimes.
 //
 // Storage is bucketed by capacity rounded up to the next power of two, so
 // a matrix of any shape whose element count falls in the same bucket can
@@ -120,13 +120,12 @@ func Put(m *Matrix) {
 	matrixHeaders.Put(m)
 }
 
-// Arena is a batch-scoped allocation handle: every Get/GetSlice checkout is
+// Arena is a batch-scoped allocation handle: every Get checkout is
 // recorded, and Release returns all of them to the pool at once. An Arena
 // is not safe for concurrent use; give each worker its own, or confine one
 // arena to the (single) goroutine that drives a training batch.
 type Arena struct {
-	mats   []*Matrix
-	slices [][]float32
+	mats []*Matrix
 }
 
 // NewArena returns an empty arena.
@@ -139,28 +138,16 @@ func (a *Arena) Get(rows, cols int) *Matrix {
 	return m
 }
 
-// GetSlice returns a zeroed pooled []float32 of length n owned by the arena.
-func (a *Arena) GetSlice(n int) []float32 {
-	s := GetSlice(n)
-	a.slices = append(a.slices, s)
-	return s
-}
-
-// Release returns every checkout to the pool. All matrices and slices
-// obtained from the arena are invalid afterwards; the arena itself is
-// empty and reusable.
+// Release returns every checkout to the pool. All matrices obtained from
+// the arena are invalid afterwards; the arena itself is empty and
+// reusable.
 func (a *Arena) Release() {
 	for i, m := range a.mats {
 		Put(m)
 		a.mats[i] = nil
 	}
 	a.mats = a.mats[:0]
-	for i, s := range a.slices {
-		PutSlice(s)
-		a.slices[i] = nil
-	}
-	a.slices = a.slices[:0]
 }
 
 // Len reports the number of outstanding checkouts (for tests).
-func (a *Arena) Len() int { return len(a.mats) + len(a.slices) }
+func (a *Arena) Len() int { return len(a.mats) }

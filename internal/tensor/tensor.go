@@ -1,26 +1,13 @@
-// Package tensor provides float32 dense matrices and the parallel linear
-// algebra the GraphTensor combination stage (MLP forward and backward)
-// needs. It is the stand-in for the TensorFlow dense primitives
-// (tf.matmul, tf.nn.bias_add, tf.nn.relu) the paper's Apply uses.
-//
-// All operations are deterministic; parallel kernels split work by rows so
-// results are bitwise identical regardless of worker count. Every kernel
-// exists in two forms: an allocating form (MatMul, Add, ...) kept for
-// convenience, and a destination-passing form (MatMulInto, AddInto, ...)
-// that writes into caller-owned storage — typically drawn from the pool in
-// pool.go — and performs no heap allocation on the serial path. The
-// allocating forms are thin wrappers over the Into forms, so the two are
-// always bitwise identical.
+// Package tensor provides the float32 dense matrix every layer of the
+// stack stores embeddings, weights and gradients in, the pooled storage
+// behind it (pool.go) and the seeded generator that initializes it
+// (rng.go). It holds no dense math: the combination stage's GEMMs, bias
+// and activation run as simulated device kernels (kernels.Linear,
+// kernels.BiasReLU and their backward passes), the stand-in for the
+// TensorFlow dense primitives the paper's Apply uses.
 package tensor
 
-import (
-	"fmt"
-	"math"
-	"runtime"
-	"sync"
-
-	"graphtensor/internal/sched"
-)
+import "fmt"
 
 // Matrix is a dense row-major float32 matrix.
 type Matrix struct {
@@ -70,23 +57,6 @@ func (m *Matrix) Fill(v float32) {
 	}
 }
 
-// Equal reports whether m and o have identical shape and elements within eps.
-func (m *Matrix) Equal(o *Matrix, eps float32) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		d := v - o.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > eps {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxAbsDiff returns the largest absolute elementwise difference between m
 // and o. The shapes must match.
 func (m *Matrix) MaxAbsDiff(o *Matrix) float32 {
@@ -124,493 +94,4 @@ func (m *Matrix) String() string {
 		}
 	}
 	return s + "]"
-}
-
-// rowWorkers returns how many workers a rows-sized parallel region uses.
-// 1 means the caller should run the serial path (which lets kernels avoid
-// building a dispatch context entirely).
-func rowWorkers(rows int) int {
-	if rows < 64 {
-		return 1
-	}
-	return sched.Workers(rows)
-}
-
-// pArgs carries the operands of one parallel kernel dispatch onto the
-// worker pool. Instances are pooled so a steady-state parallel kernel
-// performs no heap allocation; the top-level task functions below unpack
-// them, keeping the dispatch closure-free.
-type pArgs struct {
-	dst, a, b *Matrix
-	s         float32
-	vec       []float32
-}
-
-var pArgsPool = sync.Pool{New: func() any { return new(pArgs) }}
-
-// runRows dispatches a row-range kernel onto the shared worker pool and
-// returns the pooled args. Each row is written by exactly one participant,
-// so results are bitwise independent of the worker count.
-func runRows(rows, workers int, p *pArgs, fn func(ctx any, lo, hi int)) {
-	sched.Run(rows, workers, p, fn)
-	p.dst, p.a, p.b, p.s, p.vec = nil, nil, nil, 0, nil
-	pArgsPool.Put(p)
-}
-
-func getPArgs(dst, a, b *Matrix) *pArgs {
-	p := pArgsPool.Get().(*pArgs)
-	p.dst, p.a, p.b = dst, a, b
-	return p
-}
-
-func matMulTask(ctx any, lo, hi int) {
-	p := ctx.(*pArgs)
-	matMulRange(p.dst, p.a, p.b, lo, hi)
-}
-
-func matMulTTask(ctx any, lo, hi int) {
-	p := ctx.(*pArgs)
-	matMulTRange(p.dst, p.a, p.b, lo, hi)
-}
-
-func tMatMulTask(ctx any, lo, hi int) {
-	p := ctx.(*pArgs)
-	tMatMulRange(p.dst, p.a, p.b, lo, hi)
-}
-
-func transposeTask(ctx any, lo, hi int) {
-	p := ctx.(*pArgs)
-	transposeRange(p.dst, p.a, lo, hi)
-}
-
-func addBiasTask(ctx any, lo, hi int) {
-	p := ctx.(*pArgs)
-	bias := p.vec
-	for i := lo; i < hi; i++ {
-		row := p.dst.Row(i)
-		for j := range row {
-			row[j] += bias[j]
-		}
-	}
-}
-
-func sumRowsTask(ctx any, lo, hi int) {
-	p := ctx.(*pArgs)
-	m, dst := p.a, p.vec
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := lo; j < hi; j++ {
-			dst[j] += row[j]
-		}
-	}
-}
-
-// gemmKBlock is the inner-dimension tile of the blocked GEMM kernels: a
-// tile of that many B rows (gemmKBlock × Cols floats) is streamed once and
-// reused across every output row a worker owns, keeping it cache-resident.
-const gemmKBlock = 128
-
-// MatMul returns a×b. Panics on inner-dimension mismatch.
-func MatMul(a, b *Matrix) *Matrix {
-	return MatMulInto(New(a.Rows, b.Cols), a, b)
-}
-
-// MatMulInto computes dst = a×b into caller-owned storage and returns dst.
-// dst must be a.Rows×b.Cols and must not alias a or b; its prior contents
-// are overwritten. The kernel is cache-blocked over the inner dimension
-// and accumulates each output element strictly in ascending-k order, so
-// results are bitwise identical to the naive triple loop regardless of
-// worker count. The serial path performs no heap allocation.
-func MatMulInto(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmul dst %dx%d != %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	if workers := rowWorkers(a.Rows); workers > 1 {
-		runRows(a.Rows, workers, getPArgs(dst, a, b), matMulTask)
-		return dst
-	}
-	matMulRange(dst, a, b, 0, a.Rows)
-	return dst
-}
-
-// matMulRange computes dst rows [lo,hi) of a×b with k-blocking and a
-// 4-wide unrolled axpy. The unrolled sum o + a0·b0 + a1·b1 + a2·b2 + a3·b3
-// associates left-to-right, i.e. exactly like four sequential updates, so
-// blocking and unrolling do not change the result bitwise.
-func matMulRange(dst, a, b *Matrix, lo, hi int) {
-	n := a.Cols
-	if n == 0 {
-		// Zero inner dimension: the product is all zeros; the k-block loop
-		// below would not run, so clear explicitly.
-		for i := lo; i < hi; i++ {
-			clear(dst.Row(i))
-		}
-		return
-	}
-	for k0 := 0; k0 < n; k0 += gemmKBlock {
-		k1 := k0 + gemmKBlock
-		if k1 > n {
-			k1 = n
-		}
-		for i := lo; i < hi; i++ {
-			orow := dst.Row(i)
-			if k0 == 0 {
-				clear(orow)
-			}
-			arow := a.Row(i)
-			k := k0
-			for ; k+3 < k1; k += 4 {
-				a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-				b0 := b.Row(k)[:len(orow)]
-				b1 := b.Row(k + 1)[:len(orow)]
-				b2 := b.Row(k + 2)[:len(orow)]
-				b3 := b.Row(k + 3)[:len(orow)]
-				for j := range orow {
-					// Written as one left-associated chain: identical
-					// association to four sequential += updates.
-					orow[j] = orow[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
-			}
-			for ; k < k1; k++ {
-				av := arow[k]
-				brow := b.Row(k)[:len(orow)]
-				for j := range orow {
-					orow[j] += av * brow[j]
-				}
-			}
-		}
-	}
-}
-
-// MatMulT returns a×bᵀ.
-func MatMulT(a, b *Matrix) *Matrix {
-	return MatMulTInto(New(a.Rows, b.Rows), a, b)
-}
-
-// MatMulTInto computes dst = a×bᵀ into caller-owned storage and returns
-// dst. dst must be a.Rows×b.Rows and must not alias a or b. Each output
-// element is one dot product accumulated in ascending-k order; four b rows
-// are processed per pass so one a-row read feeds four independent
-// accumulator chains.
-func MatMulTInto(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmulT %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmulT dst %dx%d != %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
-	if workers := rowWorkers(a.Rows); workers > 1 {
-		runRows(a.Rows, workers, getPArgs(dst, a, b), matMulTTask)
-		return dst
-	}
-	matMulTRange(dst, a, b, 0, a.Rows)
-	return dst
-}
-
-func matMulTRange(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		j := 0
-		for ; j+3 < b.Rows; j += 4 {
-			b0 := b.Row(j)[:len(arow)]
-			b1 := b.Row(j + 1)[:len(arow)]
-			b2 := b.Row(j + 2)[:len(arow)]
-			b3 := b.Row(j + 3)[:len(arow)]
-			var acc0, acc1, acc2, acc3 float32
-			for k, av := range arow {
-				acc0 += av * b0[k]
-				acc1 += av * b1[k]
-				acc2 += av * b2[k]
-				acc3 += av * b3[k]
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = acc0, acc1, acc2, acc3
-		}
-		for ; j < b.Rows; j++ {
-			brow := b.Row(j)[:len(arow)]
-			var acc float32
-			for k, av := range arow {
-				acc += av * brow[k]
-			}
-			orow[j] = acc
-		}
-	}
-}
-
-// TMatMul returns aᵀ×b.
-func TMatMul(a, b *Matrix) *Matrix {
-	return TMatMulInto(New(a.Cols, b.Cols), a, b)
-}
-
-// TMatMulInto computes dst = aᵀ×b into caller-owned storage and returns
-// dst. dst must be a.Cols×b.Cols and must not alias a or b. Work splits by
-// output rows (a's columns) so accumulation stays deterministic; the inner
-// dimension is k-blocked so the touched B tile stays cache-resident across
-// the worker's output rows.
-func TMatMulInto(dst, a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: tmatmul (%dx%d)ᵀ × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: tmatmul dst %dx%d != %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
-	}
-	if workers := rowWorkers(a.Cols); workers > 1 {
-		runRows(a.Cols, workers, getPArgs(dst, a, b), tMatMulTask)
-		return dst
-	}
-	tMatMulRange(dst, a, b, 0, a.Cols)
-	return dst
-}
-
-func tMatMulRange(dst, a, b *Matrix, lo, hi int) {
-	n := a.Rows
-	if n == 0 {
-		for i := lo; i < hi; i++ {
-			clear(dst.Row(i))
-		}
-		return
-	}
-	for k0 := 0; k0 < n; k0 += gemmKBlock {
-		k1 := k0 + gemmKBlock
-		if k1 > n {
-			k1 = n
-		}
-		for i := lo; i < hi; i++ {
-			orow := dst.Row(i)
-			if k0 == 0 {
-				clear(orow)
-			}
-			for k := k0; k < k1; k++ {
-				av := a.At(k, i)
-				brow := b.Row(k)[:len(orow)]
-				for j := range orow {
-					orow[j] += av * brow[j]
-				}
-			}
-		}
-	}
-}
-
-// transposeTile is the square tile edge of the blocked transpose.
-const transposeTile = 32
-
-// Transpose returns mᵀ as a new matrix.
-func Transpose(m *Matrix) *Matrix {
-	return TransposeInto(New(m.Cols, m.Rows), m)
-}
-
-// TransposeInto computes dst = mᵀ into caller-owned storage and returns
-// dst. dst must be m.Cols×m.Rows and must not alias m. The kernel is
-// tiled so both the read and write sides stay within cache lines, and
-// parallel across source-row bands (each band writes a disjoint element
-// set, so the result is independent of worker count).
-func TransposeInto(dst, m *Matrix) *Matrix {
-	if dst.Rows != m.Cols || dst.Cols != m.Rows {
-		panic(fmt.Sprintf("tensor: transpose dst %dx%d != %dx%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
-	}
-	if workers := rowWorkers(m.Rows); workers > 1 {
-		runRows(m.Rows, workers, getPArgs(dst, m, nil), transposeTask)
-		return dst
-	}
-	transposeRange(dst, m, 0, m.Rows)
-	return dst
-}
-
-func transposeRange(dst, m *Matrix, lo, hi int) {
-	for i0 := lo; i0 < hi; i0 += transposeTile {
-		i1 := i0 + transposeTile
-		if i1 > hi {
-			i1 = hi
-		}
-		for j0 := 0; j0 < m.Cols; j0 += transposeTile {
-			j1 := j0 + transposeTile
-			if j1 > m.Cols {
-				j1 = m.Cols
-			}
-			for i := i0; i < i1; i++ {
-				row := m.Row(i)
-				for j := j0; j < j1; j++ {
-					dst.Data[j*m.Rows+i] = row[j]
-				}
-			}
-		}
-	}
-}
-
-// Add returns a+b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	return AddInto(New(a.Rows, a.Cols), a, b)
-}
-
-// AddInto computes dst = a+b elementwise and returns dst. dst must match
-// the operand shape; it may alias a or b.
-func AddInto(dst, a, b *Matrix) *Matrix {
-	mustSameShape("add", a, b)
-	mustSameShape("add dst", dst, a)
-	bd := b.Data
-	for i, v := range a.Data {
-		dst.Data[i] = v + bd[i]
-	}
-	return dst
-}
-
-// Sub returns a−b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	return SubInto(New(a.Rows, a.Cols), a, b)
-}
-
-// SubInto computes dst = a−b elementwise and returns dst. dst must match
-// the operand shape; it may alias a or b.
-func SubInto(dst, a, b *Matrix) *Matrix {
-	mustSameShape("sub", a, b)
-	mustSameShape("sub dst", dst, a)
-	bd := b.Data
-	for i, v := range a.Data {
-		dst.Data[i] = v - bd[i]
-	}
-	return dst
-}
-
-// Hadamard returns a⊙b (elementwise product).
-func Hadamard(a, b *Matrix) *Matrix {
-	return HadamardInto(New(a.Rows, a.Cols), a, b)
-}
-
-// HadamardInto computes dst = a⊙b elementwise and returns dst. dst must
-// match the operand shape; it may alias a or b.
-func HadamardInto(dst, a, b *Matrix) *Matrix {
-	mustSameShape("hadamard", a, b)
-	mustSameShape("hadamard dst", dst, a)
-	bd := b.Data
-	for i, v := range a.Data {
-		dst.Data[i] = v * bd[i]
-	}
-	return dst
-}
-
-// Scale returns s·m.
-func Scale(m *Matrix, s float32) *Matrix {
-	return ScaleInto(New(m.Rows, m.Cols), m, s)
-}
-
-// ScaleInto computes dst = s·m and returns dst. dst must match m's shape;
-// it may alias m.
-func ScaleInto(dst, m *Matrix, s float32) *Matrix {
-	mustSameShape("scale dst", dst, m)
-	for i, v := range m.Data {
-		dst.Data[i] = v * s
-	}
-	return dst
-}
-
-// AddBias adds bias (1×Cols or len Cols) to every row of m in place and
-// returns m.
-func AddBias(m *Matrix, bias []float32) *Matrix {
-	if len(bias) != m.Cols {
-		panic(fmt.Sprintf("tensor: bias length %d != cols %d", len(bias), m.Cols))
-	}
-	if workers := rowWorkers(m.Rows); workers > 1 {
-		p := getPArgs(m, nil, nil)
-		p.vec = bias
-		runRows(m.Rows, workers, p, addBiasTask)
-		return m
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] += bias[j]
-		}
-	}
-	return m
-}
-
-// ReLU returns max(0, m) elementwise.
-func ReLU(m *Matrix) *Matrix {
-	return ReLUInto(New(m.Rows, m.Cols), m)
-}
-
-// ReLUInto computes dst = max(0, m) elementwise and returns dst. dst must
-// match m's shape; it may alias m.
-func ReLUInto(dst, m *Matrix) *Matrix {
-	mustSameShape("relu dst", dst, m)
-	for i, v := range m.Data {
-		if v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
-		}
-	}
-	return dst
-}
-
-// ReLUGrad returns grad⊙(pre > 0): the backward pass of ReLU given the
-// pre-activation values.
-func ReLUGrad(grad, pre *Matrix) *Matrix {
-	return ReLUGradInto(New(grad.Rows, grad.Cols), grad, pre)
-}
-
-// ReLUGradInto computes dst = grad⊙(pre > 0) and returns dst. dst must
-// match the operand shape; it may alias grad.
-func ReLUGradInto(dst, grad, pre *Matrix) *Matrix {
-	mustSameShape("relugrad", grad, pre)
-	mustSameShape("relugrad dst", dst, grad)
-	gd := grad.Data
-	for i, v := range pre.Data {
-		if v > 0 {
-			dst.Data[i] = gd[i]
-		} else {
-			dst.Data[i] = 0
-		}
-	}
-	return dst
-}
-
-// SumRows returns the column-wise sum of m as a length-Cols slice (the
-// bias gradient of an MLP layer).
-func SumRows(m *Matrix) []float32 {
-	return SumRowsInto(make([]float32, m.Cols), m)
-}
-
-// SumRowsInto accumulates the column-wise sum of m into dst (len m.Cols,
-// overwritten) and returns dst. Rows are added in ascending order per
-// column; the parallel split is by columns, so the result is bitwise
-// independent of worker count.
-func SumRowsInto(dst []float32, m *Matrix) []float32 {
-	if len(dst) != m.Cols {
-		panic(fmt.Sprintf("tensor: sumrows dst length %d != cols %d", len(dst), m.Cols))
-	}
-	clear(dst)
-	// The parallel split is by columns, so gate on a column floor (matching
-	// the 64-row kernel threshold) plus enough rows to amortize dispatch.
-	if m.Rows >= 256 && m.Cols >= 64 && runtime.GOMAXPROCS(0) > 1 {
-		p := getPArgs(nil, m, nil)
-		p.vec = dst
-		runRows(m.Cols, sched.Workers(m.Cols), p, sumRowsTask)
-		return dst
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst[j] += v
-		}
-	}
-	return dst
-}
-
-// FrobeniusNorm returns sqrt(Σ m_ij²).
-func FrobeniusNorm(m *Matrix) float64 {
-	var acc float64
-	for _, v := range m.Data {
-		acc += float64(v) * float64(v)
-	}
-	return math.Sqrt(acc)
-}
-
-func mustSameShape(op string, a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 }

@@ -3,147 +3,7 @@ package tensor
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestMatMulIdentity(t *testing.T) {
-	rng := NewRNG(1)
-	a := Random(8, 5, 1, rng)
-	id := New(5, 5)
-	for i := 0; i < 5; i++ {
-		id.Set(i, i, 1)
-	}
-	got := MatMul(a, id)
-	if !got.Equal(a, 1e-6) {
-		t.Error("A·I != A")
-	}
-}
-
-func TestMatMulAssociativeShape(t *testing.T) {
-	rng := NewRNG(2)
-	a := Random(4, 6, 1, rng)
-	b := Random(6, 3, 1, rng)
-	c := Random(3, 7, 1, rng)
-	ab_c := MatMul(MatMul(a, b), c)
-	a_bc := MatMul(a, MatMul(b, c))
-	if diff := ab_c.MaxAbsDiff(a_bc); diff > 1e-4 {
-		t.Errorf("(AB)C != A(BC): %g", diff)
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	rng := NewRNG(3)
-	a := Random(5, 9, 1, rng)
-	if !Transpose(Transpose(a)).Equal(a, 0) {
-		t.Error("Tᵀᵀ != T")
-	}
-}
-
-func TestMatMulTEqualsMatMulTranspose(t *testing.T) {
-	rng := NewRNG(4)
-	a := Random(5, 7, 1, rng)
-	b := Random(4, 7, 1, rng)
-	got := MatMulT(a, b)
-	want := MatMul(a, Transpose(b))
-	if diff := got.MaxAbsDiff(want); diff > 1e-4 {
-		t.Errorf("MatMulT != MatMul∘Transpose: %g", diff)
-	}
-}
-
-func TestTMatMulEqualsTransposeMatMul(t *testing.T) {
-	rng := NewRNG(5)
-	a := Random(7, 5, 1, rng)
-	b := Random(7, 4, 1, rng)
-	got := TMatMul(a, b)
-	want := MatMul(Transpose(a), b)
-	if diff := got.MaxAbsDiff(want); diff > 1e-4 {
-		t.Errorf("TMatMul != Transpose∘MatMul: %g", diff)
-	}
-}
-
-func TestAddSubInverse(t *testing.T) {
-	rng := NewRNG(6)
-	a := Random(6, 6, 1, rng)
-	b := Random(6, 6, 1, rng)
-	if diff := Sub(Add(a, b), b).MaxAbsDiff(a); diff > 1e-6 {
-		t.Errorf("(A+B)-B != A: %g", diff)
-	}
-}
-
-func TestReLUAndGrad(t *testing.T) {
-	m := FromSlice(1, 4, []float32{-2, -0.1, 0.1, 3})
-	r := ReLU(m)
-	want := []float32{0, 0, 0.1, 3}
-	for i, v := range r.Data {
-		if math.Abs(float64(v-want[i])) > 1e-6 {
-			t.Errorf("relu[%d]=%g want %g", i, v, want[i])
-		}
-	}
-	grad := FromSlice(1, 4, []float32{1, 1, 1, 1})
-	g := ReLUGrad(grad, m)
-	wantG := []float32{0, 0, 1, 1}
-	for i, v := range g.Data {
-		if v != wantG[i] {
-			t.Errorf("relugrad[%d]=%g want %g", i, v, wantG[i])
-		}
-	}
-}
-
-func TestAddBias(t *testing.T) {
-	m := New(3, 2)
-	AddBias(m, []float32{1, 2})
-	for i := 0; i < 3; i++ {
-		if m.At(i, 0) != 1 || m.At(i, 1) != 2 {
-			t.Errorf("row %d not biased", i)
-		}
-	}
-}
-
-func TestSumRows(t *testing.T) {
-	m := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	got := SumRows(m)
-	want := []float32{5, 7, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sum[%d]=%g want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestMatMulPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	MatMul(New(2, 3), New(4, 5))
-}
-
-// Property: MatMul result dimensions and a single-entry dot check.
-func TestQuickMatMulColumn(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := NewRNG(seed)
-		n := 1 + rng.Intn(8)
-		k := 1 + rng.Intn(8)
-		m := 1 + rng.Intn(8)
-		a := Random(n, k, 1, rng)
-		b := Random(k, m, 1, rng)
-		c := MatMul(a, b)
-		if c.Rows != n || c.Cols != m {
-			return false
-		}
-		// Verify one random entry by explicit dot product.
-		i, j := rng.Intn(n), rng.Intn(m)
-		var acc float32
-		for kk := 0; kk < k; kk++ {
-			acc += a.At(i, kk) * b.At(kk, j)
-		}
-		return math.Abs(float64(acc-c.At(i, j))) < 1e-4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestRNGDeterministic(t *testing.T) {
 	a := NewRNG(42)
@@ -183,13 +43,6 @@ func TestGlorotUniformScale(t *testing.T) {
 		if v < -limit || v > limit {
 			t.Fatalf("glorot value %g outside ±%g", v, limit)
 		}
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	m := FromSlice(1, 2, []float32{3, 4})
-	if n := FrobeniusNorm(m); math.Abs(n-5) > 1e-6 {
-		t.Errorf("norm=%g want 5", n)
 	}
 }
 

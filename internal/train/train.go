@@ -51,11 +51,6 @@ type Config struct {
 	Resume bool
 }
 
-// DefaultConfig returns a reasonable training schedule.
-func DefaultConfig() Config {
-	return Config{Epochs: 10, BatchesPerEpoch: 20, LearningRate: 0.05, ValEvery: 2}
-}
-
 // EpochResult records one epoch's outcome.
 type EpochResult struct {
 	Epoch     int
