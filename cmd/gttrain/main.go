@@ -17,6 +17,7 @@ import (
 	"graphtensor/internal/datasets"
 	"graphtensor/internal/dkp"
 	"graphtensor/internal/frameworks"
+	"graphtensor/internal/metrics"
 	"graphtensor/internal/multigpu"
 )
 
@@ -41,9 +42,9 @@ func main() {
 		hidden  = flag.Int("hidden", 16, "hidden dimension")
 		layers  = flag.Int("layers", 2, "GNN depth")
 		lr      = flag.Float64("lr", 0.05, "SGD learning rate")
-		devices = flag.Int("devices", 0, "data-parallel device count (0 = classic single-device engine)")
+		devices = flag.Int("devices", 0, "data-parallel device count (0 = one device, unsharded)")
 		perNode = flag.Int("devices-per-node", 0, "devices per node on the hierarchical fabric (0 = flat single-node fabric)")
-		shards  = flag.Int("grad-shards", 0, "fixed gradient-shard count (0 = profile default, raised to -devices when below it)")
+		shards  = flag.Int("grad-shards", 0, "fixed gradient-shard count (0 = 1 at -devices 0, else the profile default raised to -devices when below it)")
 	)
 	flag.Parse()
 
@@ -94,20 +95,24 @@ func main() {
 			i, st.Loss, st.Prep.Round(time.Microsecond), st.Compute.Round(time.Microsecond), st.Counters.FLOPs)
 	}
 	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Millisecond))
-	if g := tr.Group(); g != nil {
-		st := g.LastStats()
-		fmt.Printf("data-parallel step (last batch): %d devices, imbalance %.2fx, peak dev FLOPs %d, modeled compute %v + comm %v, step %v overlapped (%v serialized, %.0f%% of the scatter hidden)\n",
-			st.Devices, st.Imbalance, st.PeakDeviceFLOPs,
-			st.MaxDeviceCompute.Round(time.Microsecond), st.CommTime.Round(time.Microsecond),
-			st.StepTime.Round(time.Microsecond), st.StepTimeSerial.Round(time.Microsecond),
-			st.OverlapEfficiency*100)
-		if st.Nodes > 1 {
-			fmt.Printf("hierarchical fabric: %d nodes (%d devices/node), node imbalance %.2fx, intra-node comm %v, inter-node comm %v, cross-node payload %.2f MB\n",
-				st.Nodes, *perNode, st.NodeImbalance,
-				st.IntraNodeTime.Round(time.Microsecond), st.InterNodeTime.Round(time.Microsecond),
-				float64(st.CrossNodeBytes)/(1<<20))
-		}
-		return
+	g := tr.Group()
+	st := g.LastStats()
+	fmt.Printf("device-group step (last batch): %d devices, %d shards, imbalance %.2fx, peak dev FLOPs %d, modeled compute %v + comm %v, step %v overlapped (%v serialized, %.0f%% of the scatter hidden)\n",
+		st.Devices, st.Shards, st.Imbalance, st.PeakDeviceFLOPs,
+		st.MaxDeviceCompute.Round(time.Microsecond), st.CommTime.Round(time.Microsecond),
+		st.StepTime.Round(time.Microsecond), st.StepTimeSerial.Round(time.Microsecond),
+		st.OverlapEfficiency*100)
+	if st.Nodes > 1 {
+		fmt.Printf("hierarchical fabric: %d nodes (%d devices/node), node imbalance %.2fx, intra-node comm %v, inter-node comm %v, cross-node payload %.2f MB\n",
+			st.Nodes, *perNode, st.NodeImbalance,
+			st.IntraNodeTime.Round(time.Microsecond), st.InterNodeTime.Round(time.Microsecond),
+			float64(st.CrossNodeBytes)/(1<<20))
 	}
-	fmt.Printf("kernel phase breakdown:\n%s", tr.Engine.Phases())
+	phases := metrics.NewBreakdown()
+	for _, d := range g.Devices() {
+		for _, name := range d.Ctx.Phases.Names() {
+			phases.Add(name, d.Ctx.Phases.Get(name))
+		}
+	}
+	fmt.Printf("kernel phase breakdown (%d devices):\n%s", g.NumDevices(), phases)
 }

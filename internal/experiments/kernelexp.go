@@ -162,7 +162,7 @@ func runFig16(cfg Config) (*Result, error) {
 					}
 					return nil, err
 				}
-				bd := tr.Engine.Phases()
+				bd := tr.Group().Devices()[0].Ctx.Phases
 				total := float64(bd.Total())
 				fmt.Fprintf(&sb, "%-12s", k)
 				for _, p := range phases {
@@ -209,12 +209,13 @@ func runFig17(cfg Config) (*Result, error) {
 			if err != nil {
 				return usage{}, err
 			}
-			tr.Engine.Dev.ResetPeak()
+			dev := tr.Group().Devices()[0].Dev
+			dev.ResetPeak()
 			st, err := tr.TrainBatch()
 			if err != nil {
 				return usage{}, err
 			}
-			return usage{peak: tr.Engine.Dev.MemPeak(), cache: st.Counters.CacheBytes}, nil
+			return usage{peak: dev.MemPeak(), cache: st.Counters.CacheBytes}, nil
 		}
 		napa, err := measure(frameworks.BaseGT)
 		if err != nil {
@@ -261,12 +262,13 @@ func runFig18(cfg Config) (*Result, error) {
 				if err != nil {
 					return gpusim.Counters{}, err
 				}
-				tr.Engine.Ctx.ResetPhaseWork()
+				ctx := tr.Group().Devices()[0].Ctx
+				ctx.ResetPhaseWork()
 				if _, err := tr.TrainBatch(); err != nil {
 					return gpusim.Counters{}, err
 				}
-				sparse := tr.Engine.Ctx.PhaseWork(kernels.PhaseAggregation).
-					Add(tr.Engine.Ctx.PhaseWork(kernels.PhaseEdgeWeight))
+				sparse := ctx.PhaseWork(kernels.PhaseAggregation).
+					Add(ctx.PhaseWork(kernels.PhaseEdgeWeight))
 				return sparse, nil
 			}
 			base, err := counters(frameworks.BaseGT)

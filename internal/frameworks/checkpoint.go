@@ -25,7 +25,7 @@ var ErrCheckpointCorrupt = errors.New("frameworks: checkpoint corrupt")
 const checkpointMagic = "GTCKPT1\n"
 
 // Checkpoint writes a restartable snapshot of the trainer to path: the
-// canonical weights (replica 0 under a device group), the schedule cursor
+// canonical weights (the device group's replica 0), the schedule cursor
 // `step` (consumed-batch count — the only RNG state SGD training has beyond
 // the seed, since the optimizer itself is stateless) and the seed +
 // architecture dims that guard a mismatched restore. The snapshot is
@@ -133,17 +133,11 @@ func (t *Trainer) Restore(path string) (uint64, error) {
 	// Validation complete — only now touch live state. Every replica gets
 	// the same restored weights; the cursor makes nextDsts resume at the
 	// interrupted run's next draw.
-	for li := range t.Model.Layers {
-		copy(t.Model.Layers[li].W.Data, weights[2*li])
-		copy(t.Model.Layers[li].B, weights[2*li+1])
-	}
-	if t.group != nil {
-		for i := 1; i < t.group.NumDevices(); i++ {
-			rep := t.group.Replica(i)
-			for li := range rep.Layers {
-				copy(rep.Layers[li].W.Data, weights[2*li])
-				copy(rep.Layers[li].B, weights[2*li+1])
-			}
+	for i := 0; i < t.group.NumDevices(); i++ {
+		rep := t.group.Replica(i)
+		for li := range rep.Layers {
+			copy(rep.Layers[li].W.Data, weights[2*li])
+			copy(rep.Layers[li].B, weights[2*li+1])
 		}
 	}
 	t.batchSeq = step

@@ -106,19 +106,21 @@ type Options struct {
 	// during a concurrent validation Prepare — size gpusim memory (or
 	// lower the depth) accordingly.
 	PrefetchDepth int
-	// NumDevices selects the data-parallel engine: 0 (default) trains on
-	// the classic single-device engine; >=1 trains through a
-	// multigpu.DeviceGroup of that many devices. Every batch is carved into
-	// GradShards shape-fixed gradient shards, so the loss/weight trajectory
-	// is bitwise identical at any NumDevices in [1, GradShards] and any
-	// GOMAXPROCS. DKP stays live under data parallelism: placements are a
-	// pure function of the fitted profile and each shard's shape, so every
-	// replica evaluating the same shard makes the same choice.
+	// NumDevices is the device count of the trainer's multigpu.DeviceGroup,
+	// the one training engine. 0 (default) means one device training each
+	// batch unsharded (GradShards 0 then means 1); >=1 trains data-parallel
+	// across that many devices. Every batch is carved into GradShards
+	// shape-fixed gradient shards, so the loss/weight trajectory is bitwise
+	// identical at any NumDevices in [1, GradShards] and any GOMAXPROCS.
+	// DKP stays live under data parallelism: placements are a pure function
+	// of the fitted profile and each shard's shape, so every replica
+	// evaluating the same shard makes the same choice.
 	NumDevices int
-	// GradShards is the fixed gradient-shard count of the data-parallel
-	// engine (0 derives it from the device class via dkp.Recommend).
-	// Trajectories are comparable across device counts only for an
-	// identical shard count.
+	// GradShards is the fixed gradient-shard count of the device group (0
+	// derives it from the device class via dkp.Recommend when NumDevices is
+	// at least 1, and means one shard when NumDevices is 0). Trajectories
+	// are comparable across device counts only for an identical shard
+	// count.
 	GradShards int
 	// DevicesPerNode splits the device group into nodes of this size over
 	// a hierarchical fabric (gpusim.HierarchicalInterconnect): NVLink-class
@@ -128,10 +130,9 @@ type Options struct {
 	// modeled scheduling and communication only — the trajectory stays
 	// bitwise identical to the flat fabrics at the same GradShards.
 	DevicesPerNode int
-	// FaultPlan injects a deterministic fault schedule into the
-	// data-parallel device group (nil = fault-free; ignored without
-	// NumDevices). Faults are a pure function of (seed, step, device), so
-	// chaos runs replay bitwise.
+	// FaultPlan injects a deterministic fault schedule into the device
+	// group (nil = fault-free). Faults are a pure function of (seed, step,
+	// device), so chaos runs replay bitwise.
 	FaultPlan *fault.Plan
 }
 
@@ -182,10 +183,14 @@ type Trainer struct {
 	// the trainer builds draws from this free-list, so slot storage (arenas
 	// + producer structure pools) survives across rings and epochs.
 	slots chan *pipeline.Slot
+	// batchSlot is TrainBatch's own slot: unpipelined batches recycle their
+	// storage and sub-batch plan through it.
+	batchSlot *pipeline.Slot
 }
 
-// Group returns the data-parallel device group, or nil when the trainer
-// runs the classic single-device engine (Options.NumDevices == 0).
+// Group returns the trainer's device group (never nil). Every training
+// kernel runs on its devices; Engine is the separate device that
+// validation and inference run on.
 func (t *Trainer) Group() *multigpu.DeviceGroup { return t.group }
 
 // SamplerConfig returns the framework's sampling discipline — the serving
@@ -247,47 +252,44 @@ func New(kind Kind, ds *datasets.Dataset, opt Options) (*Trainer, error) {
 		// optimization, not a correctness requirement).
 		t.policy = dkp.NewPolicy(dkp.ProfileFor(opt.Device))
 	}
-	mp := t.modelParams()
-	if opt.NumDevices >= 1 {
-		// Data-parallel engine: one weight replica per device. DKP stays
-		// live — placements are pure functions of the fitted profile and
-		// the shard shape, identical on every replica by construction.
-		devCfg := opt.Device
-		if opt.DevicesPerNode > 0 {
-			// Hierarchical fabric: the node size turns the group's flat
-			// interconnect into the two-tier NVLink-intra / network-inter
-			// model, and the group becomes node-aware end to end (plan
-			// node assignment, tiered collectives, split-drain overlap).
-			devCfg.Interconnect = gpusim.HierarchicalInterconnect(opt.DevicesPerNode)
-		}
-		var err error
-		t.group, err = multigpu.NewGroup(opt.NumDevices, opt.GradShards, devCfg, t.pinned,
-			func() (*core.Model, error) { return models.ByName(opt.Model, mp) })
-		if err != nil {
-			return nil, err
-		}
-		if opt.FaultPlan != nil {
-			t.group.SetFaultPlan(opt.FaultPlan)
-		}
-		// Replica 0 is the canonical trained model: validation and
-		// inference read the weights the folded updates produce.
-		t.Model = t.group.Replica(0)
-	} else {
-		model, err := models.ByName(opt.Model, mp)
-		if err != nil {
-			return nil, err
-		}
-		t.Model = model
+	// Every trainer runs on the data-parallel engine: one weight replica per
+	// device. NumDevices 0 is one device training each batch unsharded.
+	// DKP stays live — placements are pure functions of the fitted profile
+	// and the shard shape, identical on every replica by construction.
+	devCfg := opt.Device
+	if opt.DevicesPerNode > 0 {
+		// Hierarchical fabric: the node size turns the group's flat
+		// interconnect into the two-tier NVLink-intra / network-inter
+		// model, and the group becomes node-aware end to end (plan node
+		// assignment, tiered collectives, split-drain overlap).
+		devCfg.Interconnect = gpusim.HierarchicalInterconnect(opt.DevicesPerNode)
 	}
+	shards := opt.GradShards
+	if opt.NumDevices == 0 && shards == 0 {
+		shards = 1
+	}
+	mp := t.modelParams()
+	var err error
+	t.group, err = multigpu.NewGroup(opt.NumDevices, shards, devCfg, t.pinned,
+		func() (*core.Model, error) { return models.ByName(opt.Model, mp) })
+	if err != nil {
+		return nil, err
+	}
+	if opt.FaultPlan != nil {
+		t.group.SetFaultPlan(opt.FaultPlan)
+	}
+	// The first live replica is the canonical trained model: validation
+	// and inference read the weights the folded updates produce.
+	t.Model = t.group.Replica(0)
 
 	if kind == PreproGT {
 		cfg := pipeline.DefaultConfig()
 		cfg.Sampler = t.samplerCfg
 		cfg.Format = t.format
-		// Under the device group, batches stage in host memory only: each
-		// device pays the PCIe scatter for its own shards instead.
-		cfg.HostOnly = t.group != nil
-		t.sched = pipeline.NewScheduler(ds.Graph, ds.Features, ds.Labels, t.Engine.Dev, cfg)
+		// Batches stage in host memory only: each group device pays the
+		// PCIe scatter for its own shards instead.
+		cfg.HostOnly = true
+		t.sched = pipeline.NewScheduler(ds.Graph, ds.Features, ds.Labels, nil, cfg)
 	} else {
 		// Serial-prep frameworks own a persistent sampler (its hop scratch
 		// pool is the reuse surface); the pipelined scheduler owns its own.
@@ -415,23 +417,22 @@ func (t *Trainer) PrepareInto(dsts []graph.VID, tl *metrics.Timeline, slot *pipe
 	if t.sched != nil {
 		b, err = t.sched.PrepareSlot(dsts, tl, slot)
 	} else {
-		b, err = prep.Serial(t.sampler, t.Dataset.Features, t.Dataset.Labels,
-			t.Engine.Dev, dsts,
+		b, err = prep.Serial(t.sampler, t.Dataset.Features, t.Dataset.Labels, nil, dsts,
 			prep.Config{Format: t.format, Pinned: t.pinned, Arena: slot.TensorArena(),
-				Structs: slot.StructPool(), HostOnly: t.group != nil, Cache: t.cache})
+				Structs: slot.StructPool(), HostOnly: true, Cache: t.cache})
 	}
 	return b, err
 }
 
-// PrepareTrainInto is PrepareInto for training batches: with a device group
-// it also attaches the data-parallel sub-batch plan — rebuilt in place from
-// the slot's recycled plan — so the prefetch ring's producer carves shards
-// while the consumer computes. Validation and probe batches go through
-// PrepareInto and skip the partitioning work (the group recomputes lazily
-// if a training batch ever arrives without a plan).
+// PrepareTrainInto is PrepareInto for training batches: it also attaches
+// the device group's sub-batch plan — rebuilt in place from the slot's
+// recycled plan — so the prefetch ring's producer carves shards while the
+// consumer computes. Validation and probe batches go through PrepareInto
+// and skip the partitioning work (the group recomputes lazily if a
+// training batch ever arrives without a plan).
 func (t *Trainer) PrepareTrainInto(dsts []graph.VID, slot *pipeline.Slot) (*prep.Batch, error) {
 	b, err := t.PrepareInto(dsts, nil, slot)
-	if err == nil && t.group != nil && b.Labels != nil {
+	if err == nil && b.Labels != nil {
 		old, _ := slot.StructPool().TakePlan().(*multigpu.BatchPlan)
 		b.SubBatches, err = multigpu.PartitionBatchNodesReuse(b, t.group.NumShards(), t.group.NumNodes(), old)
 		if err != nil {
@@ -483,23 +484,15 @@ func (t *Trainer) input(b *prep.Batch) (*core.Input, error) {
 	return &core.Input{Graphs: graphs, X: x, Labels: b.Labels}, nil
 }
 
-// Compute runs FWP + BWP + update on a prepared batch and returns the
-// loss; the caller owns releasing the batch. With NumDevices set the step
-// dispatches to the data-parallel device group instead of the single
-// engine device.
+// Compute runs FWP + BWP + update on a prepared batch through the device
+// group and returns the loss; the caller owns releasing the batch.
 func (t *Trainer) Compute(b *prep.Batch) (float64, error) {
-	if t.group != nil {
-		return t.group.TrainBatch(b, t.Opt.LearningRate)
+	loss, err := t.group.TrainBatch(b, t.Opt.LearningRate)
+	if err == nil {
+		// A fault may have dropped the device Model was read from; the
+		// canonical model is the first live replica.
+		t.Model = t.group.Replica(0)
 	}
-	in, err := t.input(b)
-	if err != nil {
-		return 0, err
-	}
-	loss, err := t.Model.TrainStep(t.Engine.Ctx, in, t.Opt.LearningRate)
-	in.X.Free()
-	// The batch's graphs are released by the caller; drop the per-graph
-	// memos so they do not pin the graph storage.
-	t.Engine.Ctx.EndBatch()
 	return loss, err
 }
 
@@ -592,31 +585,27 @@ func (t *Trainer) TrainBatch() (*BatchStats, error) {
 	dsts := t.nextDsts()
 	st := &BatchStats{}
 	t0 := time.Now()
-	b, err := t.Prepare(dsts, nil)
+	if t.batchSlot == nil {
+		t.batchSlot = pipeline.NewSlot()
+	}
+	b, err := t.PrepareTrainInto(dsts, t.batchSlot)
 	if err != nil {
+		t.batchSlot.Recycle(nil)
 		return nil, err
 	}
 	st.Prep = time.Since(t0)
 	st.PrepParts = b.Breakdown
 
-	var before gpusim.Counters
-	if t.group == nil {
-		before = t.Engine.Dev.Snapshot()
-	}
 	t1 := time.Now()
 	st.Loss, err = t.Compute(b)
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
 	st.Compute = time.Since(t1)
-	if t.group != nil {
-		st.Counters = t.group.LastStats().Counters
-	} else {
-		st.Counters = t.Engine.Dev.Snapshot().Sub(before)
-	}
+	st.Counters = t.group.LastStats().Counters
 	st.Total = time.Since(t0)
 	b.Release()
+	t.batchSlot.Recycle(b)
+	if err != nil {
+		return nil, err
+	}
 	return st, nil
 }
 

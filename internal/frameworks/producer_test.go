@@ -12,8 +12,8 @@ import (
 // pooled producer: training through the prefetch ring — slot-recycled
 // sampler results, layer structures and sub-batch plans, at GOMAXPROCS 8 —
 // must reproduce bit for bit the trajectory of a run that allocates every
-// batch fresh (nil slot) at GOMAXPROCS 1. Covered for both the classic
-// single-device engine and the data-parallel group.
+// batch fresh (nil slot) at GOMAXPROCS 1. Covered for both the default
+// one-device, one-shard group and a 2-device sharded group.
 func TestPooledProducerTrajectoryBitwise(t *testing.T) {
 	ds := testDS(t)
 	const epochs, batches = 3, 4

@@ -417,11 +417,14 @@ func (p *BatchPlan) assignByEdges(csr *graph.BCSR, n int) {
 
 // localizeInto builds the induced subgraph of csr on the given dsts with
 // compact local numbering into the retained local CSR: local dst i is
-// dsts[i]; local srcs are numbered in first-touch order (a pure function of
-// the graph shape, so shard contents never depend on device count or
-// scheduling). It appends the global ids backing each local src onto srcs
-// (passed with length 0) and returns it — which becomes the next-lower
-// layer's dst list, chaining the layers together.
+// dsts[i] and also local src i — edge-weighted kernels read a dst's own
+// embedding at its dst index, so the dsts must be the src prefix, exactly
+// as in the unsharded batch — and the remaining srcs are numbered in
+// first-touch order (a pure function of the graph shape, so shard contents
+// never depend on device count or scheduling). It appends the global ids
+// backing each local src onto srcs (passed with length 0) and returns it —
+// which becomes the next-lower layer's dst list, chaining the layers
+// together.
 func localizeInto(csr *graph.BCSR, dsts []graph.VID, local *graph.BCSR, srcs []graph.VID) []graph.VID {
 	m := 0
 	for _, d := range dsts {
@@ -435,6 +438,10 @@ func localizeInto(csr *graph.BCSR, dsts []graph.VID, local *graph.BCSR, srcs []g
 	remap := *mapp
 	for i := range remap {
 		remap[i] = -1
+	}
+	for _, d := range dsts {
+		remap[d] = graph.VID(len(srcs))
+		srcs = append(srcs, d)
 	}
 	e := 0
 	for i, d := range dsts {

@@ -509,17 +509,11 @@ func TestBalanceDistributesEdges(t *testing.T) {
 // TestMultiGPUForwardMatchesSingle: the logits each gradient shard computes
 // on its localized sub-batch equal, bit for bit, the rows the whole batch
 // computes unsharded on one device — localization (compact VIDs, halo
-// chains, X row maps) must not change what any dst sees.
-//
-// It covers the unweighted GCN only. Edge-weighted modes (NGCF) read a
-// dst's own embedding at row d of the layer input, which assumes dst d is
-// also src d; localizeInto numbers local srcs in first-touch order, so a
-// shard's NGCF edge weights read another vertex's row and the sharded
-// logits differ from the unsharded ones. The ROADMAP item "Shard
-// localization must keep the dsts as the src prefix" tracks the fix, which
-// changes every group NGCF trajectory and must extend this test to "ngcf".
+// chains, X row maps) must not change what any dst sees. The edge-weighted
+// NGCF reads a dst's own embedding at row d of the layer input, so it also
+// pins that every shard keeps its dsts as the src prefix.
 func TestMultiGPUForwardMatchesSingle(t *testing.T) {
-	for _, model := range []string{"gcn"} {
+	for _, model := range []string{"gcn", "ngcf"} {
 		h := newGroupHarness(t, model, prep.FormatCSRCSC)
 		m, err := h.factory()()
 		if err != nil {

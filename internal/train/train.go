@@ -58,10 +58,10 @@ type EpochResult struct {
 	ValAcc    float64
 	Evaluated bool
 	Wall      time.Duration
-	// DeadDevices and Rejoined count the data-parallel group's membership
-	// events during this epoch — devices lost to fault injection and
-	// devices re-admitted by rejoin events (both 0 on single-device
-	// trainers and fault-free runs; neither affects the loss trajectory).
+	// DeadDevices and Rejoined count the device group's membership events
+	// during this epoch — devices lost to fault injection and devices
+	// re-admitted by rejoin events (both 0 on fault-free runs; neither
+	// affects the loss trajectory).
 	DeadDevices int
 	Rejoined    int
 }
@@ -157,23 +157,14 @@ func (d *Driver) Run() (*History, error) {
 			nb -= rem // resumed mid-epoch: train only the tail
 		}
 		t0 := time.Now()
-		var dead0, rejoin0 int
-		if g := d.tr.Group(); g != nil {
-			dead0, rejoin0 = g.DeadDevices(), g.Rejoined()
-		}
+		grp := d.tr.Group()
+		dead0, rejoin0 := grp.DeadDevices(), grp.Rejoined()
 		loss, err := d.tr.TrainStreamHook(ring, nb, after)
 		if err != nil {
 			return nil, err
 		}
-		// After the first epoch, fit the DKP cost model (paper's schedule).
-		if e == 0 {
-			_ = d.tr.Warmup(0) // fit from observations if DKP is enabled
-		}
-		res := EpochResult{Epoch: e, MeanLoss: loss, Wall: time.Since(t0)}
-		if g := d.tr.Group(); g != nil {
-			res.DeadDevices = g.DeadDevices() - dead0
-			res.Rejoined = g.Rejoined() - rejoin0
-		}
+		res := EpochResult{Epoch: e, MeanLoss: loss, Wall: time.Since(t0),
+			DeadDevices: grp.DeadDevices() - dead0, Rejoined: grp.Rejoined() - rejoin0}
 		if d.valDsts != nil && d.cfg.ValEvery > 0 && e%d.cfg.ValEvery == 0 {
 			acc, err := d.validate()
 			if err != nil {

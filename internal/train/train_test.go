@@ -86,6 +86,11 @@ func TestDriverEarlyStopDrainsRing(t *testing.T) {
 			t.Errorf("%d %q buffers still allocated after early stop (prefetched batches not drained)", n, label)
 		}
 	}
+	for gi, gd := range tr.Group().Devices() {
+		if m := gd.Dev.MemInUse(); m != 0 {
+			t.Errorf("group device %d holds %d bytes after early stop, want 0", gi, m)
+		}
+	}
 }
 
 // TestDriverMultiDevice trains real epochs through the data-parallel device
